@@ -3,6 +3,7 @@ package chaos
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"asyncexc/internal/actor"
@@ -91,7 +92,13 @@ func RunActor(cfg ActorConfig) (ActorReport, error) {
 		return true
 	}
 
-	rng := newRand(cfg.Seed*2654435761 + 193)
+	// The publisher and the injector are different green threads, on
+	// different shards at Shards>1: each draws from its own PRNG, split
+	// from the seed, so neither the draws nor the schedule they drive
+	// depend on cross-shard timing.
+	root := newRand(cfg.Seed*2654435761 + 193)
+	pubRng, killRng := root.split(), root.split()
+	var killsAttempted atomic.Uint64
 	var sup *supervise.Supervisor
 	var rep ActorReport
 
@@ -132,7 +139,7 @@ func RunActor(cfg ActorConfig) (ActorReport, error) {
 					if next > uint64(cfg.Events) {
 						return core.Return(core.UnitValue)
 					}
-					n := uint64(1 + rng.next(7))
+					n := uint64(1 + pubRng.next(7))
 					if next+n > uint64(cfg.Events)+1 {
 						n = uint64(cfg.Events) + 1 - next
 					}
@@ -141,7 +148,7 @@ func RunActor(cfg ActorConfig) (ActorReport, error) {
 						evs = append(evs, broker.Event{Topic: "soak", Seq: s, Payload: "p"})
 					}
 					return core.Then(broker.Publish(tp.Ref, evs),
-						core.Then(core.Sleep(time.Duration(rng.next(3))*time.Millisecond),
+						core.Then(core.Sleep(time.Duration(pubRng.next(3))*time.Millisecond),
 							core.Delay(func() core.IO[core.Unit] { return publish(next + n) })))
 				}
 
@@ -153,13 +160,13 @@ func RunActor(cfg ActorConfig) (ActorReport, error) {
 					if k >= cfg.Kills {
 						return core.Return(core.UnitValue)
 					}
-					next := core.Then(core.Sleep(time.Duration(1+rng.next(4))*time.Millisecond),
+					next := core.Then(core.Sleep(time.Duration(1+killRng.next(4))*time.Millisecond),
 						core.Delay(func() core.IO[core.Unit] { return inject(k + 1) }))
 					tid, ok := s.ChildThreadID(tp.Spec.ID)
 					if !ok {
 						return next // mid-restart; try again next tick
 					}
-					rep.KillsAttempted++
+					killsAttempted.Add(1)
 					return core.Then(core.KillThread(tid), next)
 				}
 
@@ -187,6 +194,7 @@ func RunActor(cfg ActorConfig) (ActorReport, error) {
 
 	rep2, e, err := core.RunSystem(sys, prog)
 	rep.Violations = rep2.Violations
+	rep.KillsAttempted = killsAttempted.Load()
 	if err != nil {
 		return rep, err
 	}

@@ -312,6 +312,18 @@ func newRand(seed int64) *miniRand {
 	return &miniRand{s: uint64(seed)}
 }
 
+// split returns an independent PRNG seeded from r's next state, so
+// each green thread can own one: the runtime cannot see Go state a
+// Lift or Delay closure captures, and a PRNG shared by threads on
+// different shards is a data race.
+func (r *miniRand) split() *miniRand {
+	r.next(1)
+	z := r.s + 0x9e3779b97f4a7c15 // splitmix64 finalizer
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return newRand(int64(z ^ z>>31))
+}
+
 func (r *miniRand) next(n int) int {
 	r.s ^= r.s << 13
 	r.s ^= r.s >> 7

@@ -67,7 +67,7 @@ const (
 // Exception is the type thrown and caught by the runtime (§4).
 type Exception = exc.Exception
 
-// Node exposes the untyped representation; used by the compiler and
+// Node exposes the scheduler's node; used by the compiler and
 // conformance substrates, not by applications.
 func (m IO[A]) Node() sched.Node { return m.node }
 
@@ -80,14 +80,21 @@ func FromNode[A any](n sched.Node) IO[A] { return IO[A]{n} }
 // ---------------------------------------------------------------------
 
 // Return is the monadic unit: an action that immediately yields v.
-func Return[A any](v A) IO[A] { return IO[A]{sched.Return(v)} }
+// A Unit return is the scheduler's shared unit node, which its step
+// dispatches without an interface case.
+func Return[A any](v A) IO[A] {
+	if _, ok := any(v).(Unit); ok {
+		return IO[A]{sched.ReturnUnit()}
+	}
+	return IO[A]{&retT[A]{v}}
+}
 
 // Pure is a synonym for Return.
 func Pure[A any](v A) IO[A] { return Return(v) }
 
 // Bind sequences m before k, passing m's result to k (§3's >>=).
 func Bind[A, B any](m IO[A], k func(A) IO[B]) IO[B] {
-	return IO[B]{sched.Bind(m.node, func(v any) sched.Node { return k(v.(A)).node })}
+	return IO[B]{sched.BindK(m.node, kont[A, B](k))}
 }
 
 // Then sequences m before n, discarding m's result (Haskell's >>).
@@ -117,21 +124,74 @@ func Seq(ms ...IO[Unit]) IO[Unit] {
 // Delay defers construction of an action until it runs; the standard
 // way to write recursive actions without infinite construction.
 func Delay[A any](f func() IO[A]) IO[A] {
-	return IO[A]{sched.Delay(func() sched.Node { return f().node })}
+	return IO[A]{sched.DelayT(delayThunk[A](f))}
 }
 
 // Lift embeds an effectful Go function as one atomic runtime step: the
 // analogue of a single pure reduction in the paper's inner semantics.
 // Asynchronous exceptions are never delivered inside f.
+//
+// The runtime cannot see the Go state f captures. Closures lifted into
+// different threads must not share unsynchronised Go state (a counter,
+// a PRNG, a map): on the parallel engine those threads run on
+// different goroutines at once. Give each thread its own copy, or
+// share through an MVar or sync/atomic.
 func Lift[A any](f func() A) IO[A] {
-	return IO[A]{sched.Lift(func() any { return f() })}
+	return IO[A]{sched.LiftT(liftThunk[A](f))}
 }
 
 // LiftErr embeds a Go function that may fail; a non-nil exception is
-// raised synchronously, as by Throw.
+// raised synchronously, as by Throw. Lift's rule on shared Go state
+// applies.
 func LiftErr[A any](f func() (A, Exception)) IO[A] {
-	return IO[A]{sched.LiftErr(func() (any, exc.Exception) { return f() })}
+	return IO[A]{sched.LiftT(liftErrThunk[A](f))}
 }
+
+// The typed halves of the node grammar. A return node keeps its value
+// unboxed, and the continuation, thunk and handler adapters are func
+// types, so converting one to its sched interface does not allocate:
+// Bind, Catch, Delay and Lift each cost the one node they build.
+
+// retT is a typed return node.
+type retT[A any] struct{ v A }
+
+func (*retT[A]) NodeKind() string { return "return" }
+
+// Value boxes the value for untyped consumers (sched.ValueOf).
+func (r *retT[A]) Value() any { return r.v }
+
+// kont is a typed continuation: a return node of its own type hands
+// its value straight to k, any other goes through sched.ValueOf.
+type kont[A, B any] func(A) IO[B]
+
+func (k kont[A, B]) Apply(ret sched.Node) sched.Node {
+	if r, ok := ret.(*retT[A]); ok {
+		return k(r.v).node
+	}
+	return k(sched.ValueOf(ret).(A)).node
+}
+
+type delayThunk[A any] func() IO[A]
+
+func (f delayThunk[A]) Force() sched.Node { return f().node }
+
+type liftThunk[A any] func() A
+
+func (f liftThunk[A]) Force() sched.Node { return &retT[A]{f()} }
+
+type liftErrThunk[A any] func() (A, Exception)
+
+func (f liftErrThunk[A]) Force() sched.Node {
+	v, e := f()
+	if e != nil {
+		return sched.Throw(e)
+	}
+	return &retT[A]{v}
+}
+
+type handler[A any] func(Exception) IO[A]
+
+func (h handler[A]) Handle(e exc.Exception) sched.Node { return h(e).node }
 
 // ---------------------------------------------------------------------
 // Exceptions (§4, §5)
@@ -145,14 +205,14 @@ func Throw[A any](e Exception) IO[A] { return IO[A]{sched.Throw(e)} }
 // the handler restores the mask state the thread had when Catch began
 // (§8), which is what makes the safe-locking pattern of §5.2 sound.
 func Catch[A any](m IO[A], h func(Exception) IO[A]) IO[A] {
-	return IO[A]{sched.Catch(m.node, func(e exc.Exception) sched.Node { return h(e).node })}
+	return IO[A]{sched.CatchH(m.node, handler[A](h), false)}
 }
 
 // CatchNonAlert is Catch under the §9 two-datatype design: alert
 // exceptions (ThreadKilled, Timeout, ...) are not intercepted, so a
 // universal handler inside a timed computation cannot break Timeout.
 func CatchNonAlert[A any](m IO[A], h func(Exception) IO[A]) IO[A] {
-	return IO[A]{sched.CatchNonAlert(m.node, func(e exc.Exception) sched.Node { return h(e).node })}
+	return IO[A]{sched.CatchH(m.node, handler[A](h), true)}
 }
 
 // Handle is Catch with the arguments swapped.

@@ -16,16 +16,12 @@ func MVarFromRaw[A any](mv *sched.MVar) MVar[A] { return MVar[A]{mv} }
 
 // NewEmptyMVar creates a fresh empty MVar (§4's newEmptyMVar).
 func NewEmptyMVar[A any]() IO[MVar[A]] {
-	return FromNode[MVar[A]](sched.Bind(sched.NewEmptyMVar(), func(v any) sched.Node {
-		return sched.Return(MVar[A]{v.(*sched.MVar)})
-	}))
+	return Map(FromNode[*sched.MVar](sched.NewEmptyMVar()), MVarFromRaw[A])
 }
 
 // NewMVar creates a fresh MVar holding v.
 func NewMVar[A any](v A) IO[MVar[A]] {
-	return FromNode[MVar[A]](sched.Bind(sched.NewMVar(v), func(raw any) sched.Node {
-		return sched.Return(MVar[A]{raw.(*sched.MVar)})
-	}))
+	return Map(FromNode[*sched.MVar](sched.NewMVar(v)), MVarFromRaw[A])
 }
 
 // Take removes and returns the contents of m, waiting while m is
@@ -45,13 +41,15 @@ func Put[A any](m MVar[A], v A) IO[Unit] {
 
 // TryTake is a non-waiting Take: (value, true) when m was full.
 func TryTake[A any](m MVar[A]) IO[Maybe[A]] {
-	return FromNode[Maybe[A]](sched.Bind(sched.TryTakeMVar(m.mv), func(v any) sched.Node {
-		r := v.(sched.TryResult)
-		if !r.OK {
-			return sched.Return(Nothing[A]())
-		}
-		return sched.Return(Just(r.Value.(A)))
-	}))
+	return Map(FromNode[sched.TryResult](sched.TryTakeMVar(m.mv)), maybeOf[A])
+}
+
+// maybeOf converts a non-waiting probe's result.
+func maybeOf[A any](r sched.TryResult) Maybe[A] {
+	if !r.OK {
+		return Nothing[A]()
+	}
+	return Just(r.Value.(A))
 }
 
 // TryPut is a non-waiting Put: true when the value was deposited or

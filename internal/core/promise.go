@@ -36,9 +36,7 @@ func PromiseFromRaw[A any](raw *sched.Promise) Promise[A] { return Promise[A]{ra
 // (the promise's obs span carries it as the invoke end of the
 // invoke → resolve → await chain).
 func NewPromise[A any](name string) IO[Promise[A]] {
-	return FromNode[Promise[A]](sched.Bind(sched.NewPromiseNode(name), func(v any) sched.Node {
-		return sched.Return(Promise[A]{v.(*sched.Promise)})
-	}))
+	return Map(FromNode[*sched.Promise](sched.NewPromiseNode(name)), PromiseFromRaw[A])
 }
 
 // Resolve settles p with value v. Returns whether this call won the
@@ -80,13 +78,7 @@ func Await[A any](p Promise[A]) IO[A] {
 // resolved, Nothing while pending. A rejection or cancellation is
 // raised, as by Await.
 func TryAwait[A any](p Promise[A]) IO[Maybe[A]] {
-	return FromNode[Maybe[A]](sched.Bind(sched.TryAwaitPromise(p.p), func(v any) sched.Node {
-		r := v.(sched.TryResult)
-		if !r.OK {
-			return sched.Return(Nothing[A]())
-		}
-		return sched.Return(Just(r.Value.(A)))
-	}))
+	return Map(FromNode[sched.TryResult](sched.TryAwaitPromise(p.p)), maybeOf[A])
 }
 
 // Async runs m in a fresh thread and returns a promise of its result:
@@ -100,9 +92,7 @@ func TryAwait[A any](p Promise[A]) IO[Maybe[A]] {
 // unmasked (the fork inherits the caller's mask per the revised Fork
 // rule; the Unblock wrapper restores the Async contract).
 func Async[A any](name string, m IO[A]) IO[Promise[A]] {
-	return FromNode[Promise[A]](sched.Bind(sched.AsyncNode(name, sched.Unblock(m.node)), func(v any) sched.Node {
-		return sched.Return(Promise[A]{v.(*sched.Promise)})
-	}))
+	return Map(FromNode[*sched.Promise](sched.AsyncNode(name, sched.Unblock(m.node))), PromiseFromRaw[A])
 }
 
 // AwaitEither waits for the first of two promises to settle, without

@@ -72,7 +72,7 @@ func (rt *RT) getCharOrPark(t *Thread) (Node, bool) {
 		if par {
 			c.mu.Unlock()
 		}
-		return retNode{ch}, false
+		return &retNode{ch}, false
 	}
 	if par {
 		c.mu.Unlock()
@@ -84,7 +84,7 @@ func (rt *RT) getCharOrPark(t *Thread) (Node, bool) {
 		c.mu.Lock()
 		if ch, ok := c.getCharLocked(); ok {
 			c.mu.Unlock()
-			return retNode{ch}, false
+			return &retNode{ch}, false
 		}
 	}
 	t.parkSeq++

@@ -7,7 +7,11 @@
 // This package therefore implements the paper's §8 runtime design
 // directly: a user-level green-thread scheduler in which
 //
-//   - an IO computation is a tree of Nodes (a trampolined free monad),
+//   - an IO computation is a tree of Nodes (a trampolined free monad);
+//     every node is pointer-shaped, hot primitives have a node type
+//     each, and the continuation of a >>= is a Kont that receives the
+//     return node itself, so internal/core's typed values reach typed
+//     continuations unboxed (node.go),
 //   - a Thread is a heap object holding the current Node, a stack of
 //     continuation frames (bind frames, catch frames that record the
 //     mask state, and block/unblock mask frames with the §8.1

@@ -166,7 +166,7 @@ func (rt *RT) parkAwaitCleanup(
 				rt.obsUnpark(t)
 				t.status = statusRunnable
 				t.park = parkInfo{}
-				t.cur = throwNode{e}
+				t.cur = &throwNode{e}
 				rt.enqueue(t)
 				rt.trace(EvUnpark{Thread: t.id})
 				return

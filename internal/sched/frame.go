@@ -1,11 +1,13 @@
 package sched
 
-import "asyncexc/internal/exc"
-
 // frame is one entry on a thread's continuation stack. The three frame
 // kinds correspond exactly to the implementation design of §8:
 //
-//   - bindFrame: the continuation of a >>= (pushed by bindNode);
+//   - bindFrame: the continuation of a >>= (pushed by bindNode and
+//     thenNode). It holds a Kont — a thenNode, a func adapter, or one
+//     of internal/core's typed continuations — which receives the
+//     return node itself, so a typed value reaches a typed
+//     continuation without being boxed;
 //   - catchFrame: a handler plus the mask state at the time the frame
 //     was pushed ("Extend the catch frame to include the state
 //     (blocked or unblocked) of asynchronous exceptions at the time
@@ -19,12 +21,12 @@ import "asyncexc/internal/exc"
 // the three possible mask frames are shared singletons.
 type frame interface{ frameKind() string }
 
-type bindFrame struct{ k func(any) Node }
+type bindFrame struct{ k Kont }
 
 func (*bindFrame) frameKind() string { return "bind" }
 
 type catchFrame struct {
-	h          func(exc.Exception) Node
+	h          Handler
 	saved      MaskState
 	skipAlerts bool
 }
@@ -49,7 +51,7 @@ var maskFrames = [3]*maskFrame{
 // dropped for the GC. Stack-segment pooling is bounded separately.
 const freeListCap = 1024
 
-func (rt *RT) newBindFrame(k func(any) Node) *bindFrame {
+func (rt *RT) newBindFrame(k Kont) *bindFrame {
 	if n := len(rt.freeBind); n > 0 {
 		f := rt.freeBind[n-1]
 		rt.freeBind = rt.freeBind[:n-1]
@@ -66,7 +68,7 @@ func (rt *RT) putBindFrame(f *bindFrame) {
 	}
 }
 
-func (rt *RT) newCatchFrame(h func(exc.Exception) Node, saved MaskState, skipAlerts bool) *catchFrame {
+func (rt *RT) newCatchFrame(h Handler, saved MaskState, skipAlerts bool) *catchFrame {
 	if n := len(rt.freeCatch); n > 0 {
 		f := rt.freeCatch[n-1]
 		rt.freeCatch = rt.freeCatch[:n-1]

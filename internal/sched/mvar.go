@@ -111,7 +111,7 @@ func (rt *RT) takeMVar(t *Thread, mv *MVar) (Node, bool) {
 			rt.deliverUnpark(woke, UnitValue)
 		}
 		rt.stats.MVarTakes++
-		return retNode{v}, false
+		return &retNode{v}, false
 	}
 	if par {
 		mv.mu.Unlock()
@@ -134,7 +134,7 @@ func (rt *RT) takeMVar(t *Thread, mv *MVar) (Node, bool) {
 				rt.deliverUnpark(woke, UnitValue)
 			}
 			rt.stats.MVarTakes++
-			return retNode{v}, false
+			return &retNode{v}, false
 		}
 	}
 	t.parkSeq++
@@ -186,7 +186,7 @@ func (rt *RT) putMVar(t *Thread, mv *MVar, v any) (Node, bool) {
 			rt.deliverUnpark(woke, v)
 		}
 		rt.stats.MVarPuts++
-		return retNode{UnitValue}, false
+		return unitRet, false
 	}
 	if par {
 		mv.mu.Unlock()
@@ -204,7 +204,7 @@ func (rt *RT) putMVar(t *Thread, mv *MVar, v any) (Node, bool) {
 				rt.deliverUnpark(woke, v)
 			}
 			rt.stats.MVarPuts++
-			return retNode{UnitValue}, false
+			return unitRet, false
 		}
 	}
 	t.parkSeq++

@@ -7,16 +7,51 @@ import (
 	"asyncexc/internal/obs"
 )
 
-// Node is the untyped internal representation of an IO action. The
-// typed public API in internal/core wraps Nodes with a phantom type
-// parameter; the scheduler interprets them one Node per step.
+// Node is an IO action in the scheduler's node grammar; the scheduler
+// interprets one Node per step.
 //
-// The Node grammar mirrors the monadic values of Figure 1 of the paper:
+// The grammar mirrors the monadic values of Figure 1 of the paper:
 // return, >>=, throw, catch, block, unblock are structural; everything
 // that touches the world (MVars, forkIO, throwTo, sleep, putChar,
-// getChar, ...) is a primNode whose step function runs inside the
-// scheduler loop.
-type Node interface{ nodeKind() string }
+// getChar, ...) is a primitive whose step runs inside the scheduler
+// loop. Every node is pointer-shaped, so storing one in a Node costs
+// exactly the node's own allocation and no boxing.
+//
+// Types are erased here except in two places: a return node may be a
+// typed node built by internal/core (a Returner holding an unboxed
+// value), and the continuation of a >>= is a Kont that receives the
+// return node itself, so a typed continuation reads the typed value
+// without an any round trip. Untyped callers (compile, lambda, the
+// primitives below) use the func-based adapters Bind, Catch and Delay.
+type Node interface{ NodeKind() string }
+
+// Kont is the continuation of a >>=: it receives the return node the
+// bound action finished with and yields the next action. Use ValueOf
+// to read the value untyped; internal/core's typed continuations read
+// their own typed return nodes directly.
+type Kont interface{ Apply(ret Node) Node }
+
+// Thunk produces a node when stepped: the deferred action of a Delay,
+// or the return (or throw) node of a Lift.
+type Thunk interface{ Force() Node }
+
+// Handler is the handler of a Catch.
+type Handler interface{ Handle(e exc.Exception) Node }
+
+// Returner is a return node built outside this package (internal/core's
+// typed return); Value boxes its value for untyped consumers.
+type Returner interface {
+	Node
+	Value() any
+}
+
+// ValueOf returns the value carried by the return node ret.
+func ValueOf(ret Node) any {
+	if r, ok := ret.(*retNode); ok {
+		return r.v
+	}
+	return ret.(Returner).Value()
+}
 
 // Unit is the value carried by actions of type IO (); the runtime uses
 // a single shared value so tests can compare against it.
@@ -27,29 +62,41 @@ var UnitValue = Unit{}
 
 type retNode struct{ v any }
 
-func (retNode) nodeKind() string { return "return" }
+func (*retNode) NodeKind() string { return "return" }
 
+// unitRet is the shared return node of every Unit-valued primitive;
+// nodes are immutable, so one instance serves them all.
+var unitRet Node = &retNode{UnitValue}
+
+// bindNode is >>= with an arbitrary continuation; thenNode is the
+// common >> shape and serves as its own continuation.
 type bindNode struct {
 	m Node
-	k func(any) Node
+	k Kont
 }
 
-func (bindNode) nodeKind() string { return ">>=" }
+func (*bindNode) NodeKind() string { return ">>=" }
+
+type thenNode struct{ m, n Node }
+
+func (*thenNode) NodeKind() string { return ">>" }
+
+func (n *thenNode) Apply(Node) Node { return n.n }
 
 type throwNode struct{ e exc.Exception }
 
-func (throwNode) nodeKind() string { return "throw" }
+func (*throwNode) NodeKind() string { return "throw" }
 
 type catchNode struct {
 	m Node
-	h func(exc.Exception) Node
+	h Handler
 	// skipAlerts implements the §9 two-datatype design: when set, the
 	// handler does not intercept alert exceptions, which continue to
 	// propagate.
 	skipAlerts bool
 }
 
-func (catchNode) nodeKind() string { return "catch" }
+func (*catchNode) NodeKind() string { return "catch" }
 
 // maskNode implements block/unblock (§5.2) plus the MaskUninterruptible
 // extension. to is the mask state the body runs under.
@@ -58,7 +105,7 @@ type maskNode struct {
 	to MaskState
 }
 
-func (n maskNode) nodeKind() string {
+func (n *maskNode) NodeKind() string {
 	switch n.to {
 	case Masked:
 		return "block"
@@ -72,100 +119,196 @@ func (n maskNode) nodeKind() string {
 // delayNode defers construction of an action until it is stepped,
 // allowing recursive definitions (f = Delay(func() Node { ... f ... }))
 // without infinite construction.
-type delayNode struct{ f func() Node }
+type delayNode struct{ f Thunk }
 
-func (delayNode) nodeKind() string { return "delay" }
+func (*delayNode) NodeKind() string { return "delay" }
 
-// primNode is a scheduler primitive. step runs in the scheduler loop
-// with the running thread; it returns the continuation Node, or parks
-// the thread itself and reports parked=true (in which case next is
-// ignored).
+// The hot primitives have a node type each; the rest share primNode.
+
+// liftNode runs f as one atomic step; f yields the return (or throw)
+// node the step continues with.
+type liftNode struct{ f Thunk }
+
+func (*liftNode) NodeKind() string { return "lift" }
+
+type takeNode struct{ mv *MVar }
+
+func (*takeNode) NodeKind() string { return "takeMVar" }
+
+type putNode struct {
+	mv *MVar
+	v  any
+}
+
+func (*putNode) NodeKind() string { return "putMVar" }
+
+type sleepNode struct{ d time.Duration }
+
+func (*sleepNode) NodeKind() string { return "sleep" }
+
+type throwToNode struct {
+	tid ThreadID
+	e   exc.Exception
+}
+
+func (*throwToNode) NodeKind() string { return "throwTo" }
+
+// forkNode creates a thread running m: on the spawner's shard, or
+// pinned to shard when pinned is set (ForkOn).
+type forkNode struct {
+	m      Node
+	name   string
+	shard  int
+	pinned bool
+}
+
+func (n *forkNode) NodeKind() string {
+	if n.pinned {
+		return "forkOn"
+	}
+	return "forkIO"
+}
+
+// primNode is a scheduler primitive without a node type of its own.
+// step runs in the scheduler loop with the running thread; it returns
+// the continuation Node, or parks the thread itself and reports
+// parked=true (in which case next is ignored).
 type primNode struct {
 	name string
 	step func(rt *RT, t *Thread) (next Node, parked bool)
 }
 
-func (p primNode) nodeKind() string { return p.name }
+func (p primNode) NodeKind() string { return p.name }
+
+// structural reports whether n is a descent node (>>=, >>, catch,
+// block/unblock, delay). Those are never delivery points: every other
+// node is a redex (a primitive, a return or a throw).
+func structural(n Node) bool {
+	switch n.(type) {
+	case *bindNode, *thenNode, *catchNode, *maskNode, *delayNode:
+		return true
+	}
+	return false
+}
+
+// signalPoint reports whether a non-lethal signal may be delivered at
+// n: a redex other than a throw (a handler must never run on an
+// unwinding stack).
+func signalPoint(n Node) bool {
+	if _, ok := n.(*throwNode); ok {
+		return false
+	}
+	return !structural(n)
+}
+
+// The func-to-interface adapters behind the untyped constructors. A
+// func value is pointer-shaped, so converting one to Kont, Thunk or
+// Handler does not allocate.
+type (
+	funcKont    func(any) Node
+	funcThunk   func() Node
+	funcHandler func(exc.Exception) Node
+	funcLift    func() any
+	funcLiftErr func() (any, exc.Exception)
+)
+
+func (k funcKont) Apply(ret Node) Node            { return k(ValueOf(ret)) }
+func (f funcThunk) Force() Node                   { return f() }
+func (h funcHandler) Handle(e exc.Exception) Node { return h(e) }
+func (f funcLift) Force() Node                    { return &retNode{f()} }
+
+func (f funcLiftErr) Force() Node {
+	v, e := f()
+	if e != nil {
+		return &throwNode{e}
+	}
+	return &retNode{v}
+}
 
 // ---------------------------------------------------------------------
 // Constructors (the untyped core calculus)
 // ---------------------------------------------------------------------
 
 // Return is the monadic unit: an action that immediately yields v.
-func Return(v any) Node { return retNode{v} }
+func Return(v any) Node { return &retNode{v} }
 
 // ReturnUnit is an action yielding the Unit value.
-func ReturnUnit() Node { return retNode{UnitValue} }
+func ReturnUnit() Node { return unitRet }
 
 // Bind sequences m before k, passing m's result to k (the >>= of §3).
-func Bind(m Node, k func(any) Node) Node { return bindNode{m, k} }
+func Bind(m Node, k func(any) Node) Node { return &bindNode{m, funcKont(k)} }
+
+// BindK is Bind with the continuation given as a Kont; internal/core
+// passes its typed continuations here.
+func BindK(m Node, k Kont) Node { return &bindNode{m, k} }
 
 // Then sequences m before n, discarding m's result (Haskell's >>).
-func Then(m Node, n Node) Node { return bindNode{m, func(any) Node { return n }} }
+func Then(m Node, n Node) Node { return &thenNode{m, n} }
 
 // Throw raises the synchronous exception e (§4).
-func Throw(e exc.Exception) Node { return throwNode{e} }
+func Throw(e exc.Exception) Node { return &throwNode{e} }
 
 // Catch runs m; if m raises an exception (synchronously or
 // asynchronously), h runs with it (§4). Entering the handler restores
 // the mask state the thread had when Catch began (§8, catch frames).
-func Catch(m Node, h func(exc.Exception) Node) Node { return catchNode{m: m, h: h} }
+func Catch(m Node, h func(exc.Exception) Node) Node {
+	return &catchNode{m: m, h: funcHandler(h)}
+}
 
-// CatchNonAlert is Catch restricted to non-alert exceptions, the
-// two-datatype design sketched in §9: alert exceptions (ThreadKilled,
-// Timeout, ...) pass through the handler untouched.
-func CatchNonAlert(m Node, h func(exc.Exception) Node) Node {
-	return catchNode{m: m, h: h, skipAlerts: true}
+// CatchH is Catch with the handler given as a Handler; internal/core
+// passes its typed handlers here. With skipAlerts it is the §9
+// two-datatype design: alert exceptions (ThreadKilled, Timeout, ...)
+// pass through the handler untouched.
+func CatchH(m Node, h Handler, skipAlerts bool) Node {
+	return &catchNode{m: m, h: h, skipAlerts: skipAlerts}
 }
 
 // Block executes m with asynchronous-exception delivery blocked
 // (§5.2). Nesting does not count: two nested Blocks behave as one.
-func Block(m Node) Node { return maskNode{m, Masked} }
+func Block(m Node) Node { return &maskNode{m, Masked} }
 
 // Unblock executes m with asynchronous-exception delivery unblocked,
 // regardless of how many Blocks surround it (§5.2).
-func Unblock(m Node) Node { return maskNode{m, Unmasked} }
+func Unblock(m Node) Node { return &maskNode{m, Unmasked} }
 
 // BlockUninterruptible is an extension beyond the paper (GHC's later
 // uninterruptibleMask): within m, even interruptible operations do not
 // receive asynchronous exceptions. It exists for ablation benchmarks
 // and for the few cleanup actions that must not be interrupted.
-func BlockUninterruptible(m Node) Node { return maskNode{m, MaskedUninterruptible} }
+func BlockUninterruptible(m Node) Node { return &maskNode{m, MaskedUninterruptible} }
 
 // MaskTo executes m under exactly the given mask state.
-func MaskTo(m Node, to MaskState) Node { return maskNode{m, to} }
+func MaskTo(m Node, to MaskState) Node { return &maskNode{m, to} }
 
 // Delay defers construction of an action until it runs; the standard
 // way to express recursion in the Node calculus.
-func Delay(f func() Node) Node { return delayNode{f} }
+func Delay(f func() Node) Node { return &delayNode{funcThunk(f)} }
+
+// DelayT is Delay with the deferred action given as a Thunk.
+func DelayT(f Thunk) Node { return &delayNode{f} }
 
 // Lift embeds an effectful Go function as a single atomic step — the
 // analogue of one pure reduction in the paper's inner semantics.
 // Asynchronous exceptions are delivered only between steps, never
-// inside f.
-func Lift(f func() any) Node {
-	return primNode{name: "lift", step: func(rt *RT, t *Thread) (Node, bool) {
-		return retNode{f()}, false
-	}}
-}
+// inside f. The runtime cannot see Go state f captures: closures
+// lifted into different threads must not share unsynchronised Go
+// state (see internal/core's Lift).
+func Lift(f func() any) Node { return &liftNode{funcLift(f)} }
 
 // LiftErr embeds a Go function that may fail; a non-nil exception is
 // raised synchronously.
-func LiftErr(f func() (any, exc.Exception)) Node {
-	return primNode{name: "liftErr", step: func(rt *RT, t *Thread) (Node, bool) {
-		v, e := f()
-		if e != nil {
-			return throwNode{e}, false
-		}
-		return retNode{v}, false
-	}}
-}
+func LiftErr(f func() (any, exc.Exception)) Node { return &liftNode{funcLiftErr(f)} }
+
+// LiftT is Lift with the step given as a Thunk, which yields the
+// return node (or, for a failure, the throw node) the thread continues
+// with; internal/core passes its typed thunks here.
+func LiftT(f Thunk) Node { return &liftNode{f} }
 
 // GetMask returns the thread's current mask state (an introspection
 // helper used by combinators and tests; GHC's getMaskingState).
 func GetMask() Node {
 	return primNode{name: "getMask", step: func(rt *RT, t *Thread) (Node, bool) {
-		return retNode{t.mask}, false
+		return &retNode{t.mask}, false
 	}}
 }
 
@@ -176,12 +319,7 @@ func GetMask() Node {
 func Fork(m Node) Node { return ForkNamed(m, "") }
 
 // ForkNamed is Fork with a debug name attached to the child thread.
-func ForkNamed(m Node, name string) Node {
-	return primNode{name: "forkIO", step: func(rt *RT, t *Thread) (Node, bool) {
-		child := rt.spawn(m, name, t.mask, t.id)
-		return retNode{child.id}, false
-	}}
-}
+func ForkNamed(m Node, name string) Node { return &forkNode{m: m, name: name} }
 
 // ForkOn is ForkNamed pinned to an execution shard (modulo the shard
 // count): the child is created already owned by that shard and enqueued
@@ -190,16 +328,24 @@ func ForkNamed(m Node, name string) Node {
 // deterministically instead of waiting for work stealing; in serial
 // mode it is exactly ForkNamed.
 func ForkOn(shard int, m Node, name string) Node {
-	return primNode{name: "forkOn", step: func(rt *RT, t *Thread) (Node, bool) {
-		child := rt.spawnOn(shard, m, name, t.mask, t.id)
-		return retNode{child.id}, false
-	}}
+	return &forkNode{m: m, name: name, shard: shard, pinned: true}
+}
+
+// fork is the step of a forkNode.
+func (rt *RT) fork(t *Thread, n *forkNode) Node {
+	var child *Thread
+	if n.pinned {
+		child = rt.spawnOn(n.shard, n.m, n.name, t.mask, t.id)
+	} else {
+		child = rt.spawn(n.m, n.name, t.mask, t.id)
+	}
+	return &retNode{child.id}
 }
 
 // MyThreadID returns the calling thread's ThreadID (§4).
 func MyThreadID() Node {
 	return primNode{name: "myThreadId", step: func(rt *RT, t *Thread) (Node, bool) {
-		return retNode{t.id}, false
+		return &retNode{t.id}, false
 	}}
 }
 
@@ -207,7 +353,7 @@ func MyThreadID() Node {
 func Yield() Node {
 	return primNode{name: "yield", step: func(rt *RT, t *Thread) (Node, bool) {
 		t.sliceLeft = 0
-		return retNode{UnitValue}, false
+		return unitRet, false
 	}}
 }
 
@@ -216,17 +362,18 @@ func Yield() Node {
 // therefore interruptible in any context (Figure 5, rules Stuck Sleep
 // and Interrupt). Sleep with d <= 0 returns immediately and is not an
 // interruption point.
-func Sleep(d time.Duration) Node {
-	return primNode{name: "sleep", step: func(rt *RT, t *Thread) (Node, bool) {
-		if d <= 0 {
-			return retNode{UnitValue}, false
-		}
-		if n, interrupted := t.raisePendingForPark(); interrupted {
-			return n, false
-		}
-		rt.parkSleep(t, d)
-		return nil, true
-	}}
+func Sleep(d time.Duration) Node { return &sleepNode{d} }
+
+// sleep is the step of a sleepNode.
+func (rt *RT) sleep(t *Thread, d time.Duration) (Node, bool) {
+	if d <= 0 {
+		return unitRet, false
+	}
+	if n, interrupted := t.raisePendingForPark(); interrupted {
+		return n, false
+	}
+	rt.parkSleep(t, d)
+	return nil, true
 }
 
 // ThrowTo raises exception e in thread tid (§5). In the default
@@ -234,17 +381,13 @@ func Sleep(d time.Duration) Node {
 // "in flight" (Figure 5, rule ThrowTo); with Options.SyncThrowTo the
 // caller waits until the exception has been delivered, and the wait is
 // itself interruptible (§9).
-func ThrowTo(tid ThreadID, e exc.Exception) Node {
-	return primNode{name: "throwTo", step: func(rt *RT, t *Thread) (Node, bool) {
-		return rt.throwTo(t, tid, e)
-	}}
-}
+func ThrowTo(tid ThreadID, e exc.Exception) Node { return &throwToNode{tid, e} }
 
 // PutChar writes a character to the runtime console (§3).
 func PutChar(ch rune) Node {
 	return primNode{name: "putChar", step: func(rt *RT, t *Thread) (Node, bool) {
 		rt.console.putChar(ch)
-		return retNode{UnitValue}, false
+		return unitRet, false
 	}}
 }
 
@@ -255,7 +398,7 @@ func PutStr(s string) Node {
 		for _, ch := range s {
 			rt.console.putChar(ch)
 		}
-		return retNode{UnitValue}, false
+		return unitRet, false
 	}}
 }
 
@@ -271,14 +414,14 @@ func GetChar() Node {
 // NewEmptyMVar creates a fresh empty MVar (§4).
 func NewEmptyMVar() Node {
 	return primNode{name: "newEmptyMVar", step: func(rt *RT, t *Thread) (Node, bool) {
-		return retNode{rt.newMVar(false, nil)}, false
+		return &retNode{rt.newMVar(false, nil)}, false
 	}}
 }
 
 // NewMVar creates a fresh MVar holding v.
 func NewMVar(v any) Node {
 	return primNode{name: "newMVar", step: func(rt *RT, t *Thread) (Node, bool) {
-		return retNode{rt.newMVar(true, v)}, false
+		return &retNode{rt.newMVar(true, v)}, false
 	}}
 }
 
@@ -286,29 +429,21 @@ func NewMVar(v any) Node {
 // empty (§4). It is an interruptible operation: inside Block it can
 // still receive asynchronous exceptions, but only until the value is
 // acquired (§5.3).
-func TakeMVar(mv *MVar) Node {
-	return primNode{name: "takeMVar", step: func(rt *RT, t *Thread) (Node, bool) {
-		return rt.takeMVar(t, mv)
-	}}
-}
+func TakeMVar(mv *MVar) Node { return &takeNode{mv} }
 
 // PutMVar fills mv with v, parking while mv is full (§4, with the
 // footnote-3 semantics: putMVar on a full MVar waits rather than
 // erroring). Putting into an empty MVar never parks and therefore is
 // not an interruption point (§5.3) — the property the safe-locking
 // pattern's exception handler relies on.
-func PutMVar(mv *MVar, v any) Node {
-	return primNode{name: "putMVar", step: func(rt *RT, t *Thread) (Node, bool) {
-		return rt.putMVar(t, mv, v)
-	}}
-}
+func PutMVar(mv *MVar, v any) Node { return &putNode{mv, v} }
 
 // TryTakeMVar is a non-parking TakeMVar: it returns (value, true) when
 // mv was full and (nil, false) otherwise. Never an interruption point.
 func TryTakeMVar(mv *MVar) Node {
 	return primNode{name: "tryTakeMVar", step: func(rt *RT, t *Thread) (Node, bool) {
 		v, ok := rt.tryTakeMVar(mv)
-		return retNode{TryResult{Value: v, OK: ok}}, false
+		return &retNode{TryResult{Value: v, OK: ok}}, false
 	}}
 }
 
@@ -317,7 +452,7 @@ func TryTakeMVar(mv *MVar) Node {
 // point.
 func TryPutMVar(mv *MVar, v any) Node {
 	return primNode{name: "tryPutMVar", step: func(rt *RT, t *Thread) (Node, bool) {
-		return retNode{rt.tryPutMVar(mv, v)}, false
+		return &retNode{rt.tryPutMVar(mv, v)}, false
 	}}
 }
 
@@ -364,7 +499,7 @@ func (rt *RT) publishOwn() {
 func Steps() Node {
 	return primNode{name: "steps", step: func(rt *RT, t *Thread) (Node, bool) {
 		rt.publishOwn()
-		return retNode{rt.Stats().Steps}, false
+		return &retNode{rt.Stats().Steps}, false
 	}}
 }
 
@@ -372,7 +507,7 @@ func Steps() Node {
 // depth; used by the §8.1 constant-stack tests and benchmarks.
 func FrameDepth() Node {
 	return primNode{name: "frameDepth", step: func(rt *RT, t *Thread) (Node, bool) {
-		return retNode{len(t.stack)}, false
+		return &retNode{len(t.stack)}, false
 	}}
 }
 
@@ -381,7 +516,7 @@ func FrameDepth() Node {
 // restart-intensity windows and backoff schedules reproducible.
 func Now() Node {
 	return primNode{name: "now", step: func(rt *RT, t *Thread) (Node, bool) {
-		return retNode{rt.nowNS()}, false
+		return &retNode{rt.nowNS()}, false
 	}}
 }
 
@@ -391,9 +526,9 @@ func Now() Node {
 func LiveThreads() Node {
 	return primNode{name: "liveThreads", step: func(rt *RT, t *Thread) (Node, bool) {
 		if rt.eng != nil {
-			return retNode{int(rt.eng.live.Load())}, false
+			return &retNode{int(rt.eng.live.Load())}, false
 		}
-		return retNode{len(rt.threads)}, false
+		return &retNode{len(rt.threads)}, false
 	}}
 }
 
@@ -402,7 +537,7 @@ func LiveThreads() Node {
 func GetStats() Node {
 	return primNode{name: "getStats", step: func(rt *RT, t *Thread) (Node, bool) {
 		rt.publishOwn()
-		return retNode{rt.Stats()}, false
+		return &retNode{rt.Stats()}, false
 	}}
 }
 
@@ -413,7 +548,7 @@ func GetStats() Node {
 func GetShardStats() Node {
 	return primNode{name: "getShardStats", step: func(rt *RT, t *Thread) (Node, bool) {
 		rt.publishOwn()
-		return retNode{rt.ShardStats()}, false
+		return &retNode{rt.ShardStats()}, false
 	}}
 }
 
@@ -430,7 +565,7 @@ func NoteRestartNamed(child string, span uint64) Node {
 	return primNode{name: "noteRestart", step: func(rt *RT, t *Thread) (Node, bool) {
 		rt.stats.SupervisorRestarts++
 		rt.obsNote(t, obs.KindRestart, child, 0, span)
-		return retNode{UnitValue}, false
+		return unitRet, false
 	}}
 }
 
@@ -440,7 +575,7 @@ func NoteShed() Node {
 	return primNode{name: "noteShed", step: func(rt *RT, t *Thread) (Node, bool) {
 		rt.stats.Shed++
 		rt.obsNote(t, obs.KindShed, "", 0, 0)
-		return retNode{UnitValue}, false
+		return unitRet, false
 	}}
 }
 
@@ -450,7 +585,7 @@ func NoteRetry() Node {
 	return primNode{name: "noteRetry", step: func(rt *RT, t *Thread) (Node, bool) {
 		rt.stats.Retries++
 		rt.obsNote(t, obs.KindRetry, "", 0, 0)
-		return retNode{UnitValue}, false
+		return unitRet, false
 	}}
 }
 
@@ -460,7 +595,7 @@ func NoteRetry() Node {
 func NoteBreakerOpen() Node {
 	return primNode{name: "noteBreakerOpen", step: func(rt *RT, t *Thread) (Node, bool) {
 		rt.stats.BreakerOpen++
-		return retNode{UnitValue}, false
+		return unitRet, false
 	}}
 }
 
@@ -474,7 +609,7 @@ func NoteBreakerTransition(name string, from, to int) Node {
 			rt.stats.BreakerOpen++
 		}
 		rt.obsNote(t, obs.KindBreaker, name, obs.PackTransition(from, to), 0)
-		return retNode{UnitValue}, false
+		return unitRet, false
 	}}
 }
 
@@ -484,7 +619,7 @@ func NoteDeadlineExpired() Node {
 	return primNode{name: "noteDeadlineExpired", step: func(rt *RT, t *Thread) (Node, bool) {
 		rt.stats.DeadlineExpired++
 		rt.obsNote(t, obs.KindDeadline, "", 0, 0)
-		return retNode{UnitValue}, false
+		return unitRet, false
 	}}
 }
 
@@ -495,7 +630,7 @@ func NoteDeadlineExpired() Node {
 // span of the exception that triggered it.
 func CurrentSpan() Node {
 	return primNode{name: "currentSpan", step: func(rt *RT, t *Thread) (Node, bool) {
-		return retNode{t.excSpan}, false
+		return &retNode{t.excSpan}, false
 	}}
 }
 
@@ -508,7 +643,7 @@ func CurrentSpan() Node {
 // span.
 func LastCaughtSpan() Node {
 	return primNode{name: "lastCaughtSpan", step: func(rt *RT, t *Thread) (Node, bool) {
-		return retNode{t.lastSpan}, false
+		return &retNode{t.lastSpan}, false
 	}}
 }
 
@@ -521,14 +656,14 @@ func LastCaughtSpan() Node {
 func NoteRemoteThrowTo(peer string, e exc.Exception) Node {
 	return primNode{name: "noteRemoteThrowTo", step: func(rt *RT, t *Thread) (Node, bool) {
 		if rt.olog == nil {
-			return retNode{uint64(0)}, false
+			return &retNode{uint64(0)}, false
 		}
 		span := rt.opts.Observer.NextSpan()
 		rt.olog.Record(obs.Event{
 			TS: rt.nowNS(), Span: span, Thread: int64(t.id),
 			Exc: e, Label: peer, Kind: obs.KindRemoteThrowTo,
 		})
-		return retNode{span}, false
+		return &retNode{span}, false
 	}}
 }
 
@@ -543,14 +678,14 @@ func NoteActorSend(mailbox string, count uint64) Node {
 	return primNode{name: "noteActorSend", step: func(rt *RT, t *Thread) (Node, bool) {
 		rt.stats.ActorSends += count
 		if rt.olog == nil {
-			return retNode{uint64(0)}, false
+			return &retNode{uint64(0)}, false
 		}
 		span := rt.opts.Observer.NextSpan()
 		rt.olog.Record(obs.Event{
 			TS: rt.nowNS(), Span: span, Thread: int64(t.id), Arg: count,
 			Label: mailbox, Kind: obs.KindActorSend,
 		})
-		return retNode{span}, false
+		return &retNode{span}, false
 	}}
 }
 
@@ -562,7 +697,7 @@ func NoteActorDeliver(mailbox string, count uint64, span uint64) Node {
 	return primNode{name: "noteActorDeliver", step: func(rt *RT, t *Thread) (Node, bool) {
 		rt.stats.ActorDeliveries += count
 		rt.obsNote(t, obs.KindActorDeliver, mailbox, count, span)
-		return retNode{UnitValue}, false
+		return unitRet, false
 	}}
 }
 
@@ -573,7 +708,7 @@ func NoteActorHandle(mailbox string, count uint64, span uint64) Node {
 	return primNode{name: "noteActorHandle", step: func(rt *RT, t *Thread) (Node, bool) {
 		rt.stats.ActorHandled += count
 		rt.obsNote(t, obs.KindActorHandle, mailbox, count, span)
-		return retNode{UnitValue}, false
+		return unitRet, false
 	}}
 }
 
@@ -586,12 +721,12 @@ func NoteActorHandle(mailbox string, count uint64, span uint64) Node {
 func MailboxDepths() Node {
 	return primNode{name: "mailboxDepths", step: func(rt *RT, t *Thread) (Node, bool) {
 		if rt.eng == nil {
-			return retNode{[]int{0}}, false
+			return &retNode{[]int{0}}, false
 		}
 		out := make([]int, len(rt.eng.shards))
 		for i, sh := range rt.eng.shards {
 			out[i] = int(sh.mailN.Load())
 		}
-		return retNode{out}, false
+		return &retNode{out}, false
 	}}
 }

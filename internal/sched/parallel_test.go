@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"asyncexc/internal/exc"
+	"asyncexc/internal/obs"
 )
 
 func parOpts(shards int) Options {
@@ -153,7 +154,7 @@ func TestParallelMaskedWindow(t *testing.T) {
 		body := Block(Bind(TakeMVar(lock), func(v any) Node {
 			return Bind(Catch(Unblock(Bind(Sleep(time.Hour), func(any) Node { return Return(v) })),
 				func(e exc.Exception) Node {
-					return Bind(PutMVar(lock, v), func(any) Node { return throwNode{e} })
+					return Bind(PutMVar(lock, v), func(any) Node { return &throwNode{e} })
 				}), func(b any) Node {
 				return PutMVar(lock, b)
 			})
@@ -248,7 +249,7 @@ func TestParallelExternalInterrupt(t *testing.T) {
 	main := Catch(
 		Bind(primNode{name: "signal", step: func(rt *RT, t *Thread) (Node, bool) {
 			close(fired)
-			return retNode{UnitValue}, false
+			return unitRet, false
 		}}, func(any) Node { return Sleep(time.Hour) }),
 		func(e exc.Exception) Node { return Return(e) })
 	go func() {
@@ -275,7 +276,7 @@ func TestParallelConsole(t *testing.T) {
 		return Bind(Fork(reader), func(any) Node {
 			return Bind(primNode{name: "armed", step: func(rt *RT, t *Thread) (Node, bool) {
 				close(fired)
-				return retNode{UnitValue}, false
+				return unitRet, false
 			}}, func(any) Node {
 				return TakeMVar(done)
 			})
@@ -396,5 +397,58 @@ func TestParallelFuelExhausted(t *testing.T) {
 	}
 	if _, err := rt.RunMain(spin()); err != ErrFuelExhausted {
 		t.Fatalf("err = %v, want ErrFuelExhausted", err)
+	}
+}
+
+// TestParallelObservedSpawn forks masked children that unmask at once,
+// on 2 shards with an Observer. The spawn event reads the child's mask,
+// so it must be recorded before the child is published: a shard that
+// steals the child writes the mask as it enters Unblock. Under -race
+// this fails if the order regresses; a single round does not always
+// catch it, so the test runs several.
+func TestParallelObservedSpawn(t *testing.T) {
+	for round := 0; round < 16; round++ {
+		observedSpawnRound(t)
+	}
+}
+
+func observedSpawnRound(t *testing.T) {
+	const children = 400
+	opts := parOpts(2)
+	opts.Observer = obs.NewRecorder(1 << 14)
+	rt := NewRT(opts)
+	main := Bind(NewEmptyMVar(), func(a any) Node {
+		done := a.(*MVar)
+		child := Unblock(PutMVar(done, UnitValue))
+		var fork, wait func(i int) Node
+		fork = func(i int) Node {
+			if i == 0 {
+				return ReturnUnit()
+			}
+			return Then(Fork(child), Delay(func() Node { return fork(i - 1) }))
+		}
+		wait = func(i int) Node {
+			if i == 0 {
+				return Return("done")
+			}
+			return Then(TakeMVar(done), Delay(func() Node { return wait(i - 1) }))
+		}
+		return Block(Then(fork(children), wait(children)))
+	})
+	res, err := rt.RunMain(main)
+	if err != nil || res.Value != "done" || res.Exc != nil {
+		t.Fatalf("run: %+v %v", res, err)
+	}
+	spawns := 0
+	for _, ev := range opts.Observer.Snapshot() {
+		if ev.Kind == obs.KindSpawn && ev.Peer != 0 {
+			spawns++
+			if MaskState(ev.Mask) != Masked {
+				t.Fatalf("child %d spawned with mask %v, want the parent's %v", ev.Thread, MaskState(ev.Mask), Masked)
+			}
+		}
+	}
+	if spawns != children {
+		t.Fatalf("recorded %d child spawns, want %d", spawns, children)
 	}
 }

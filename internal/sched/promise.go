@@ -120,7 +120,7 @@ func (rt *RT) NewPromiseDirect(name string) *Promise { return rt.newPromise(name
 // NewPromiseNode creates a promise from a running thread.
 func NewPromiseNode(name string) Node {
 	return primNode{name: "newPromise", step: func(rt *RT, t *Thread) (Node, bool) {
-		return retNode{rt.newPromise(name)}, false
+		return &retNode{rt.newPromise(name)}, false
 	}}
 }
 
@@ -128,9 +128,9 @@ func NewPromiseNode(name string) Node {
 // resumes with. Caller guarantees the promise is settled.
 func promiseOutcome(v any, e exc.Exception) Node {
 	if e != nil {
-		return throwNode{e}
+		return &throwNode{e}
 	}
-	return retNode{v}
+	return &retNode{v}
 }
 
 // settlePromise performs the single state transition of a promise:
@@ -231,7 +231,7 @@ func (rt *RT) deliverPromiseWake(w *Thread, p *Promise, v any, e exc.Exception, 
 // the resolve-once race (false: p was already settled).
 func ResolvePromise(p *Promise, v any) Node {
 	return primNode{name: "resolve", step: func(rt *RT, t *Thread) (Node, bool) {
-		return retNode{rt.settlePromise(p, v, nil, false)}, false
+		return &retNode{rt.settlePromise(p, v, nil, false)}, false
 	}}
 }
 
@@ -239,7 +239,7 @@ func ResolvePromise(p *Promise, v any) Node {
 // it raised at their await site.
 func ResolvePromiseExc(p *Promise, e exc.Exception) Node {
 	return primNode{name: "resolveExc", step: func(rt *RT, t *Thread) (Node, bool) {
-		return retNode{rt.settlePromise(p, nil, e, false)}, false
+		return &retNode{rt.settlePromise(p, nil, e, false)}, false
 	}}
 }
 
@@ -258,7 +258,7 @@ func CancelPromise(p *Promise) Node {
 				rt.throwToAsync(t, prod, exc.PromiseCancelled{})
 			}
 		}
-		return retNode{won}, false
+		return &retNode{won}, false
 	}}
 }
 
@@ -320,7 +320,7 @@ func BindPromiseProducer(p *Promise, tid ThreadID) Node {
 		if already && tid != t.id {
 			rt.throwToAsync(t, tid, exc.PromiseCancelled{})
 		}
-		return retNode{UnitValue}, false
+		return unitRet, false
 	}}
 }
 
@@ -340,7 +340,7 @@ func AsyncNode(name string, body Node) Node {
 		child.settle = p
 		p.producer = child.id
 		rt.publish(child, t.id)
-		return retNode{p}, false
+		return &retNode{p}, false
 	}}
 }
 
@@ -468,14 +468,14 @@ func TryAwaitPromise(p *Promise) Node {
 			p.mu.Unlock()
 		}
 		if st == promisePending {
-			return retNode{TryResult{}}, false
+			return &retNode{TryResult{}}, false
 		}
 		rt.obsAwait(t.id, uint8(t.mask), p.span, p.id, st == promiseCancelled)
 		rt.stats.Awaits++
 		if e != nil {
-			return throwNode{e}, false
+			return &throwNode{e}, false
 		}
-		return retNode{TryResult{Value: v, OK: true}}, false
+		return &retNode{TryResult{Value: v, OK: true}}, false
 	}}
 }
 
@@ -495,14 +495,14 @@ func ChainPromise(p *Promise, fn func(rt *RT, v any, e exc.Exception, cancelled 
 			if par {
 				p.mu.Unlock()
 			}
-			return retNode{UnitValue}, false
+			return unitRet, false
 		}
 		v, e, cancelled := p.val, p.exc, p.state == promiseCancelled
 		if par {
 			p.mu.Unlock()
 		}
 		fn(rt, v, e, cancelled)
-		return retNode{UnitValue}, false
+		return unitRet, false
 	}}
 }
 
@@ -557,6 +557,6 @@ func LaunchPromise(name string, start func(complete func(v any, e exc.Exception)
 			// Settled before the hook landed: the completion beat us
 			// (cancellation is impossible — p was not yet visible).
 		}
-		return retNode{p}, false
+		return &retNode{p}, false
 	}}
 }

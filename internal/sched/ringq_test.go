@@ -132,7 +132,7 @@ func TestRingQFairShuffle(t *testing.T) {
 			body := func(i int) Node {
 				return primNode{name: "mark", step: func(rt *RT, t *Thread) (Node, bool) {
 					order = append(order, i)
-					return retNode{UnitValue}, false
+					return unitRet, false
 				}}
 			}
 			var spawnAll func(i int) Node

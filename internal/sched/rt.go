@@ -363,8 +363,12 @@ func (rt *RT) newThread(m Node, name string, mask MaskState) *Thread {
 	return &Thread{id: id, name: name, rt: rt, cur: m, mask: mask, status: statusRunnable, stack: rt.getStack()}
 }
 
-// publish makes a constructed thread visible and runnable.
+// publish makes a constructed thread visible and runnable. The spawn
+// is recorded first: once the thread is in a run queue another shard
+// may steal it and write its mask.
 func (rt *RT) publish(t *Thread, parent ThreadID) {
+	rt.stats.Forks++
+	rt.obsSpawn(t, parent)
 	if rt.eng != nil {
 		t.owner.Store(rt)
 		rt.eng.table.put(t)
@@ -373,8 +377,6 @@ func (rt *RT) publish(t *Thread, parent ThreadID) {
 		rt.threads[t.id] = t
 	}
 	rt.enqueue(t)
-	rt.stats.Forks++
-	rt.obsSpawn(t, parent)
 }
 
 // spawnOn is spawn with explicit shard placement: the child is created
@@ -544,23 +546,17 @@ func (rt *RT) step(t *Thread) {
 	// It also subsumes rule (Receive)'s side condition M ≠ block N:
 	// a maskNode is never a delivery point.
 	if rt.opts.Sim != nil && len(t.sigs) > 0 && len(t.pending) > 0 &&
-		t.mask == Unmasked && rt.simSignalFirst(t) {
+		t.mask == Unmasked && rt.simSignalFirst(t) && signalPoint(t.cur) {
 		// Mutation seam (IpSignalFirst): deliver a queued signal AHEAD
 		// of a pending exception — a seeded bug (exceptions must
 		// strictly win) the mutation-testing suite has to catch.
-		switch t.cur.(type) {
-		case primNode, retNode:
-			rt.deliverSignal(t)
-		}
+		rt.deliverSignal(t)
 	}
 
-	if len(t.pending) > 0 && (t.mask == Unmasked || rt.simDeliverMasked(t)) {
-		switch t.cur.(type) {
-		case primNode, retNode, throwNode:
-			p := rt.simDequeuePending(t)
-			rt.noteDelivered(t, p, false)
-			t.cur = throwNode{p.e}
-		}
+	if len(t.pending) > 0 && (t.mask == Unmasked || rt.simDeliverMasked(t)) && !structural(t.cur) {
+		p := rt.simDequeuePending(t)
+		rt.noteDelivered(t, p, false)
+		t.cur = &throwNode{p.e}
 	}
 
 	// Non-lethal signal delivery: strictly weaker than rule (Receive).
@@ -570,11 +566,8 @@ func (rt *RT) step(t *Thread) {
 	// unwinding stack) and never while parked (no Interrupt analogue).
 	// The handler is spliced in front of the current continuation; see
 	// deliverSignal.
-	if len(t.sigs) > 0 && len(t.pending) == 0 && t.mask == Unmasked {
-		switch t.cur.(type) {
-		case primNode, retNode:
-			rt.deliverSignal(t)
-		}
+	if len(t.sigs) > 0 && len(t.pending) == 0 && t.mask == Unmasked && signalPoint(t.cur) {
+		rt.deliverSignal(t)
 	}
 
 	// Resource exhaustion (§2): a push that exceeded the stack bound
@@ -582,33 +575,35 @@ func (rt *RT) step(t *Thread) {
 	// subsequent unwinding only pops frames, so progress is assured.
 	if t.overflowed {
 		t.overflowed = false
-		t.cur = throwNode{exc.StackOverflow{}}
+		t.cur = &throwNode{exc.StackOverflow{}}
 	}
 
 	rt.stats.Steps++
 	if rt.opts.Tracer != nil {
-		rt.trace(EvStep{Thread: t.id, Kind: t.cur.nodeKind(), StepNo: rt.stats.Steps})
+		rt.trace(EvStep{Thread: t.id, Kind: t.cur.NodeKind(), StepNo: rt.stats.Steps})
 	}
 
+	// The concrete node types come first: the typed return nodes of
+	// internal/core are the only interface case, so every other node
+	// is dispatched on its type word alone. Both kinds of return node
+	// fall through to the shared return rule below the switch.
+	var ret Node
 	switch n := t.cur.(type) {
-	case retNode:
-		if len(t.stack) == 0 {
-			rt.finish(t, n.v, nil) // rule (Return GC)
-			return
-		}
-		switch f := t.pop().(type) {
-		case *bindFrame:
-			k := f.k
-			rt.putBindFrame(f)
-			t.cur = k(n.v) // rule (Bind)
-		case *maskFrame:
-			t.mask = f.restore // rules (Block Return)/(Unblock Return)
-		case *catchFrame:
-			// rule (Handle): catch (return M) H -> return M
-			rt.putCatchFrame(f)
-		}
+	case *retNode:
+		ret = n
 
-	case throwNode:
+	case *bindNode:
+		t.push(rt.newBindFrame(n.k))
+		t.cur = n.m
+
+	case *thenNode:
+		t.push(rt.newBindFrame(n))
+		t.cur = n.m
+
+	case *delayNode:
+		t.cur = n.f.Force()
+
+	case *throwNode:
 		if len(t.stack) == 0 {
 			rt.finish(t, nil, n.e) // rule (Throw GC)
 			return
@@ -630,35 +625,66 @@ func (rt *RT) step(t *Thread) {
 			t.mask = f.saved
 			h := f.h
 			rt.putCatchFrame(f)
-			t.cur = h(n.e)
+			t.cur = h.Handle(n.e)
 			rt.stats.Handled++
 			rt.obsCatch(t, n.e)
 		}
 
-	case bindNode:
-		t.push(rt.newBindFrame(n.k))
-		t.cur = n.m
-
-	case catchNode:
+	case *catchNode:
 		t.push(rt.newCatchFrame(n.h, t.mask, n.skipAlerts))
 		t.cur = n.m
 		rt.stats.CatchesInstalled++
 
-	case maskNode:
+	case *maskNode:
 		rt.stats.MaskEnters++
 		t.enterMask(n.to, n.m)
 
-	case delayNode:
-		t.cur = n.f()
+	case *liftNode:
+		t.cur = n.f.Force()
+
+	case *takeNode:
+		t.advance(rt.takeMVar(t, n.mv))
+
+	case *putNode:
+		t.advance(rt.putMVar(t, n.mv, n.v))
+
+	case *sleepNode:
+		t.advance(rt.sleep(t, n.d))
+
+	case *throwToNode:
+		t.advance(rt.throwTo(t, n.tid, n.e))
+
+	case *forkNode:
+		t.cur = rt.fork(t, n)
 
 	case primNode:
-		next, parked := n.step(rt, t)
-		if !parked {
-			t.cur = next
-		}
+		t.advance(n.step(rt, t))
+
+	case Returner:
+		ret = n
 
 	default:
 		panic(fmt.Sprintf("sched: unknown node %T", t.cur))
+	}
+	if ret == nil {
+		return
+	}
+
+	// A return node meets the top frame.
+	if len(t.stack) == 0 {
+		rt.finish(t, ValueOf(ret), nil) // rule (Return GC)
+		return
+	}
+	switch f := t.pop().(type) {
+	case *bindFrame:
+		k := f.k
+		rt.putBindFrame(f)
+		t.cur = k.Apply(ret) // rule (Bind)
+	case *maskFrame:
+		t.mask = f.restore // rules (Block Return)/(Unblock Return)
+	case *catchFrame:
+		// rule (Handle): catch (return M) H -> return M
+		rt.putCatchFrame(f)
 	}
 }
 
@@ -729,7 +755,7 @@ func (rt *RT) unparkWithValue(t *Thread, v any) {
 	rt.obsUnpark(t)
 	t.status = statusRunnable
 	t.park = parkInfo{}
-	t.cur = retNode{v}
+	t.cur = &retNode{v}
 	rt.enqueue(t)
 	rt.trace(EvUnpark{Thread: t.id})
 }
@@ -851,7 +877,7 @@ func (rt *RT) interruptStuck(t *Thread, p pendingExc, wakeWaiterOnDeliver bool) 
 	}
 	t.status = statusRunnable
 	t.park = parkInfo{}
-	t.cur = throwNode{p.e}
+	t.cur = &throwNode{p.e}
 	rt.enqueue(t)
 	rt.stats.Interrupts++
 	rt.trace(EvUnpark{Thread: t.id})
@@ -946,7 +972,7 @@ func (rt *RT) throwTo(from *Thread, tid ThreadID, e exc.Exception) (Node, bool) 
 		// trivially succeeds" (§5).
 		rt.stats.ThrowToDead++
 		rt.obsEnqueue(tid, from.id, e, uint8(from.mask), obs.FlagTargetDead)
-		return retNode{UnitValue}, false
+		return unitRet, false
 	}
 	if target == from {
 		return rt.throwToSelf(from, e)
@@ -958,14 +984,14 @@ func (rt *RT) throwTo(from *Thread, tid ThreadID, e exc.Exception) (Node, bool) 
 		// bug the mutation-testing suite has to catch.
 		span, enqNS := rt.obsEnqueue(tid, from.id, e, uint8(from.mask), 0)
 		rt.interruptStuck(target, pendingExc{e: e, span: span, enqNS: enqNS}, false)
-		return retNode{UnitValue}, false
+		return unitRet, false
 	}
 	if !rt.opts.SyncThrowTo {
 		// Rule (ThrowTo): spawn the exception in flight; the caller
 		// continues immediately.
 		span, enqNS := rt.obsEnqueue(tid, from.id, e, uint8(from.mask), 0)
 		target.pending = append(target.pending, pendingExc{e: e, span: span, enqNS: enqNS})
-		return retNode{UnitValue}, false
+		return unitRet, false
 	}
 	// Synchronous design: park until delivery; the wait is itself
 	// interruptible (§9).
@@ -992,11 +1018,11 @@ func (rt *RT) throwToSelf(from *Thread, e exc.Exception) (Node, bool) {
 		span, enqNS := rt.obsEnqueue(from.id, from.id, e, uint8(from.mask), obs.FlagSelf|obs.FlagSync)
 		rt.stats.Delivered++
 		rt.obsDeliver(from, pendingExc{e: e, span: span, enqNS: enqNS}, obs.FlagSelf|obs.FlagSync)
-		return throwNode{e}, false
+		return &throwNode{e}, false
 	}
 	span, enqNS := rt.obsEnqueue(from.id, from.id, e, uint8(from.mask), obs.FlagSelf)
 	from.pending = append(from.pending, pendingExc{e: e, span: span, enqNS: enqNS})
-	return retNode{UnitValue}, false
+	return unitRet, false
 }
 
 // throwToShard is throwTo in parallel mode. Targets owned by this
@@ -1010,7 +1036,7 @@ func (rt *RT) throwToShard(from *Thread, tid ThreadID, e exc.Exception) (Node, b
 	if target == nil {
 		rt.stats.ThrowToDead++
 		rt.obsEnqueue(tid, from.id, e, uint8(from.mask), obs.FlagTargetDead)
-		return retNode{UnitValue}, false
+		return unitRet, false
 	}
 	if target == from {
 		return rt.throwToSelf(from, e)
@@ -1022,10 +1048,10 @@ func (rt *RT) throwToShard(from *Thread, tid ThreadID, e exc.Exception) (Node, b
 		span, enqNS := rt.obsEnqueue(tid, from.id, e, uint8(from.mask), 0)
 		p := pendingExc{e: e, span: span, enqNS: enqNS}
 		if target.owner.Load() == rt && rt.deliverLocal(target, p) {
-			return retNode{UnitValue}, false
+			return unitRet, false
 		}
 		rt.eng.send(target.owner.Load(), shardMsg{kind: msgThrowTo, t: target, e: e, span: span, enqNS: enqNS})
-		return retNode{UnitValue}, false
+		return unitRet, false
 	}
 	if n, interrupted := from.raisePendingForPark(); interrupted {
 		return n, false

@@ -562,7 +562,7 @@ func (rt *RT) applyMsg(m shardMsg) {
 		}
 		switch t.park.kind {
 		case parkTakeMVar, parkPutMVar, parkGetChar:
-			rt.unparkQueuedLocked(t, retNode{m.v})
+			rt.unparkQueuedLocked(t, &retNode{m.v})
 		default:
 			rt.smu.Unlock()
 		}
@@ -576,7 +576,7 @@ func (rt *RT) applyMsg(m shardMsg) {
 			return
 		}
 		if t.status == statusParked && t.park.kind == parkThrowTo && t.parkSeq == m.seq {
-			rt.unparkQueuedLocked(t, retNode{UnitValue})
+			rt.unparkQueuedLocked(t, unitRet)
 		} else {
 			rt.smu.Unlock()
 		}
@@ -648,7 +648,7 @@ func (rt *RT) applyMsg(m shardMsg) {
 			rt.obsUnpark(t)
 			t.status = statusRunnable
 			t.park = parkInfo{}
-			t.cur = throwNode{m.e}
+			t.cur = &throwNode{m.e}
 			rt.enqueue(t)
 			rt.trace(EvUnpark{Thread: t.id})
 			return

@@ -61,7 +61,7 @@ type pendingSig struct {
 func SignalTo(tid ThreadID, sig Signal) Node {
 	return primNode{name: "signalTo", step: func(rt *RT, t *Thread) (Node, bool) {
 		rt.signalTo(t, tid, sig)
-		return retNode{UnitValue}, false
+		return unitRet, false
 	}}
 }
 
@@ -144,7 +144,7 @@ func (rt *RT) deliverSignal(t *Thread) {
 	rt.stats.SignalsDelivered++
 	rt.obsSignalDeliver(t, s)
 	saved := t.cur
-	t.cur = bindNode{maskNode{h(s.sig), Masked}, func(any) Node { return saved }}
+	t.cur = &thenNode{&maskNode{h(s.sig), Masked}, saved}
 }
 
 // InstallSignalHandler registers h as this thread's handler for name,
@@ -160,7 +160,7 @@ func InstallSignalHandler(name string, h func(Signal) Node) Node {
 			prev = t.sigHandlers[name]
 		}
 		t.sigHandlers[name] = h
-		return retNode{prev}, false
+		return &retNode{prev}, false
 	}}
 }
 
@@ -178,7 +178,7 @@ func RestoreSignalHandler(name string, prev func(Signal) Node) Node {
 			}
 			t.sigHandlers[name] = prev
 		}
-		return retNode{UnitValue}, false
+		return unitRet, false
 	}}
 }
 
@@ -186,6 +186,6 @@ func RestoreSignalHandler(name string, prev func(Signal) Node) Node {
 // (tests and soak audits).
 func PendingSignals() Node {
 	return primNode{name: "pendingSignals", step: func(rt *RT, t *Thread) (Node, bool) {
-		return retNode{len(t.sigs)}, false
+		return &retNode{len(t.sigs)}, false
 	}}
 }

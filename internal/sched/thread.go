@@ -257,6 +257,14 @@ func (t *Thread) pop() frame {
 	return f
 }
 
+// advance moves t on to next, the outcome of a primitive's step,
+// unless the primitive parked t.
+func (t *Thread) advance(next Node, parked bool) {
+	if !parked {
+		t.cur = next
+	}
+}
+
 func (t *Thread) top() frame {
 	if len(t.stack) == 0 {
 		return nil
@@ -291,5 +299,5 @@ func (t *Thread) raisePendingForPark() (Node, bool) {
 	}
 	p := t.rt.simDequeuePending(t)
 	t.rt.noteDelivered(t, p, true)
-	return throwNode{p.e}, true
+	return &throwNode{p.e}, true
 }
