@@ -301,7 +301,7 @@ func ForkNamed[A any](m IO[A], name string) IO[ThreadID] {
 // ForkOn is ForkNamed pinned to an execution shard (modulo the shard
 // count): the child is created already owned by that shard and reaches
 // its run queue as a cross-shard message, so placement is deterministic
-// instead of left to work stealing. In serial mode it is exactly
+// instead of left to work stealing. On one shard it is exactly
 // ForkNamed. Benchmarks and placement-sensitive servers use it to
 // guarantee cross-shard traffic or spread load without a warm-up.
 func ForkOn[A any](shard int, m IO[A], name string) IO[ThreadID] {
@@ -337,17 +337,15 @@ func LiveThreads() IO[int] { return FromNode[int](sched.LiveThreads()) }
 // runtime observability without leaving the monad.
 func SchedStats() IO[sched.Stats] { return FromNode[sched.Stats](sched.GetStats()) }
 
-// ShardSchedStats returns per-shard scheduler counters from inside IO —
-// one entry per execution shard on the parallel engine, a single entry
-// in serial mode.
+// ShardSchedStats returns per-shard scheduler counters from inside IO,
+// one entry per execution shard.
 func ShardSchedStats() IO[[]sched.Stats] {
 	return FromNode[[]sched.Stats](sched.GetShardStats())
 }
 
 // MailboxDepths returns each shard's instantaneous mailbox backlog (a
 // live gauge, unlike Stats.MailboxDepth which is a high-water mark);
-// admission control uses it as a load-shedding watermark. Serial mode
-// reports a single zero entry.
+// admission control uses it as a load-shedding watermark.
 func MailboxDepths() IO[[]int] {
 	return FromNode[[]int](sched.MailboxDepths())
 }

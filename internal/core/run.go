@@ -39,9 +39,9 @@ func RealTimeOptions() Options {
 }
 
 // ParallelOptions returns defaults with the runtime sharded across the
-// given number of worker shards (M:N work-stealing execution; see
-// docs/PARALLEL.md). shards <= 1 yields the deterministic serial
-// engine.
+// given number of shards (M:N work-stealing execution; see
+// docs/PARALLEL.md). shards <= 1 is the default single shard, driven
+// by the goroutine that runs the system.
 func ParallelOptions(shards int) Options {
 	opts := sched.DefaultOptions()
 	opts.Shards = shards
@@ -49,8 +49,9 @@ func ParallelOptions(shards int) Options {
 }
 
 // RunParallel performs m on a fresh runtime sharded across the given
-// number of workers. Delivery semantics are identical to the serial
-// engine; scheduling order is nondeterministic across shards.
+// number of shards. Delivery semantics are identical at every shard
+// count; with more than one shard the scheduling order is
+// nondeterministic.
 func RunParallel[A any](shards int, m IO[A]) (A, Exception, error) {
 	return RunSystem(NewSystem(ParallelOptions(shards)), m)
 }
@@ -71,12 +72,10 @@ func (s *System) RT() *sched.RT { return s.rt }
 // Output returns the console transcript produced so far.
 func (s *System) Output() string { return s.rt.Output() }
 
-// Stats returns scheduler counters (aggregated across shards in
-// parallel mode).
+// Stats returns scheduler counters, aggregated across shards.
 func (s *System) Stats() sched.Stats { return s.rt.Stats() }
 
-// ShardStats returns per-shard scheduler counters; one entry in serial
-// mode.
+// ShardStats returns per-shard scheduler counters, one entry per shard.
 func (s *System) ShardStats() []sched.Stats { return s.rt.ShardStats() }
 
 // Shards returns the number of execution shards the system runs on.

@@ -36,20 +36,23 @@
 // tests instantaneous and reproducible; a real-time clock is available
 // for programs doing actual I/O.
 //
-// Setting Options.Shards > 1 runs the same programs on an M:N
-// work-stealing engine — one RT per shard, each owned by a worker
-// goroutine, with cross-shard throwTo and wakeups travelling as
-// mailbox messages applied only at scheduling boundaries, so the
-// paper's delivery points survive sharding unchanged (the design
-// argument and the committed-handoff protocol are in
-// docs/PARALLEL.md). Each mailbox is a bounded lock-free MPSC ring
+// There is one execution engine (shard.go): a runtime is a set of
+// shards, one RT each, with work stealing between them. The default is
+// one shard, driven by the goroutine that calls RunMain; Options.Shards
+// > 1 runs the same programs M:N, one worker goroutine per shard, with
+// cross-shard throwTo and wakeups travelling as mailbox messages
+// applied only at scheduling boundaries, so the paper's delivery
+// points survive sharding unchanged (the design argument and the
+// committed-handoff protocol are in docs/PARALLEL.md). Every wakeup of
+// a parked thread is one resume, checked against the thread's park
+// episode. Options.Sim replaces the worker goroutines with a
+// cooperative turn driver that steps the same shards (sim.go). Each mailbox is a bounded lock-free MPSC ring
 // (mpsc.go) with a mutex-guarded overflow slow path whose fence keeps
 // per-sender FIFO across the transition; the worker's hot loop checks
 // its per-iteration obligations (stop, external events, mail, timers)
 // with single atomic loads and batches clock resync and stats
 // publication, so an idle obligation costs one predictable load per
-// scheduler iteration. Stats/ShardStats expose the counters either
-// way; Stats.MailboxDepth is the backlog high water, sampled on the
+// scheduler iteration. Stats/ShardStats expose the counters; Stats.MailboxDepth is the backlog high water, sampled on the
 // consumer side each time a mailbox drain begins.
 //
 // Setting Options.Observer attaches an event recorder (internal/obs):

@@ -11,27 +11,7 @@ import (
 // the programmer" (§5). It must run inside the scheduler: call it from
 // an External callback (or a primitive's step function).
 func (rt *RT) Interrupt(tid ThreadID, e exc.Exception) {
-	if rt.eng != nil {
-		target := rt.eng.lookup(tid)
-		if target == nil {
-			return
-		}
-		span, enqNS := rt.obsEnqueue(tid, 0, e, obs.MaskUnknown, 0)
-		if !rt.deliverLocal(target, pendingExc{e: e, span: span, enqNS: enqNS}) {
-			rt.eng.send(target.owner.Load(), shardMsg{kind: msgThrowTo, t: target, e: e, span: span, enqNS: enqNS})
-		}
-		return
-	}
-	target := rt.threads[tid]
-	if target == nil || target.status == statusDone {
-		return
-	}
-	span, enqNS := rt.obsEnqueue(tid, 0, e, obs.MaskUnknown, 0)
-	if target.status == statusParked && target.mask.Interruptible() {
-		rt.interruptStuck(target, pendingExc{e: e, span: span, enqNS: enqNS}, false)
-		return
-	}
-	target.pending = append(target.pending, pendingExc{e: e, span: span, enqNS: enqNS})
+	rt.interrupt(tid, e, false, "", 0)
 }
 
 // InterruptFromWire is Interrupt for exceptions that arrived over a
@@ -44,29 +24,19 @@ func (rt *RT) Interrupt(tid ThreadID, e exc.Exception) {
 // It reports whether the target existed (false: it had already
 // finished or never existed; the caller answers NoProc).
 func (rt *RT) InterruptFromWire(tid ThreadID, e exc.Exception, origin string, wireSpan uint64) bool {
-	if rt.eng != nil {
-		target := rt.eng.lookup(tid)
-		if target == nil {
-			return false
-		}
-		span, enqNS := rt.obsEnqueue(tid, 0, e, obs.MaskUnknown, 0)
-		rt.obsRemoteInject(tid, e, origin, span, wireSpan)
-		if !rt.deliverLocal(target, pendingExc{e: e, span: span, enqNS: enqNS}) {
-			rt.eng.send(target.owner.Load(), shardMsg{kind: msgThrowTo, t: target, e: e, span: span, enqNS: enqNS})
-		}
-		return true
-	}
-	target := rt.threads[tid]
-	if target == nil || target.status == statusDone {
+	return rt.interrupt(tid, e, true, origin, wireSpan)
+}
+
+func (rt *RT) interrupt(tid ThreadID, e exc.Exception, wire bool, origin string, wireSpan uint64) bool {
+	target := rt.eng.table.get(tid)
+	if target == nil {
 		return false
 	}
 	span, enqNS := rt.obsEnqueue(tid, 0, e, obs.MaskUnknown, 0)
-	rt.obsRemoteInject(tid, e, origin, span, wireSpan)
-	if target.status == statusParked && target.mask.Interruptible() {
-		rt.interruptStuck(target, pendingExc{e: e, span: span, enqNS: enqNS}, false)
-		return true
+	if wire {
+		rt.obsRemoteInject(tid, e, origin, span, wireSpan)
 	}
-	target.pending = append(target.pending, pendingExc{e: e, span: span, enqNS: enqNS})
+	rt.deliver(target, pendingExc{e: e, span: span, enqNS: enqNS})
 	return true
 }
 
@@ -109,7 +79,11 @@ func (rt *RT) InterruptMain(e exc.Exception) {
 // awaiting thread is interrupted before the external work completes,
 // the work's eventual result is passed to dropped (from the scheduler
 // goroutine) so resources it carries (an accepted connection, an open
-// file) can be released instead of leaking.
+// file) can be released instead of leaking. The completion travels as
+// a msgResume to the thread's owner, checked against the park episode,
+// and counts as outstanding I/O until it is applied, so the virtual
+// clock cannot pass it and the deadlock detector knows it can still
+// arrive.
 func AwaitCleanup(
 	name string,
 	start func(complete func(v any, e exc.Exception)) (cancel func()),
@@ -119,62 +93,18 @@ func AwaitCleanup(
 		if n, interrupted := t.raisePendingForPark(); interrupted {
 			return n, false
 		}
-		rt.parkAwaitCleanup(t, start, dropped)
-		return nil, true
-	}}
-}
-
-// parkAwaitCleanup is parkAwait plus the dropped handler. In parallel
-// mode the completion travels as a msgAwaitDone to the thread's owner
-// (staleness-checked against the park's awaitID); serially it runs as
-// an External callback.
-func (rt *RT) parkAwaitCleanup(
-	t *Thread,
-	start func(complete func(v any, e exc.Exception)) (cancel func()),
-	dropped func(v any, e exc.Exception),
-) {
-	if e := rt.eng; e != nil {
-		id := e.nextAwaitID.Add(1)
+		e := rt.eng
 		t.parkSeq++
+		seq := t.parkSeq
 		t.status = statusParked
-		t.park = parkInfo{kind: parkAwait, awaitID: id}
+		t.park = parkInfo{kind: parkAwait}
 		e.outstandingIO.Add(1)
 		complete := func(v any, ex exc.Exception) {
-			e.send(t.owner.Load(), shardMsg{kind: msgAwaitDone, t: t, v: v, e: ex, seq: id, dropped: dropped})
+			e.send(t.owner.Load(), shardMsg{kind: msgResume, t: t, seq: seq, v: &awaitDone{v: v, e: ex, dropped: dropped}})
 		}
 		t.park.cancel = start(complete)
 		rt.trace(EvPark{Thread: t.id, Reason: "await"})
 		rt.obsPark(t, parkAwait, 0)
-		return
-	}
-	rt.nextAwaitID++
-	id := rt.nextAwaitID
-	t.parkSeq++
-	t.status = statusParked
-	t.park = parkInfo{kind: parkAwait, awaitID: id}
-	rt.outstandingIO++
-	complete := func(v any, e exc.Exception) {
-		rt.External(func(rt *RT) {
-			rt.outstandingIO--
-			if t.status != statusParked || t.park.kind != parkAwait || t.park.awaitID != id {
-				if dropped != nil {
-					dropped(v, e)
-				}
-				return
-			}
-			if e != nil {
-				rt.obsUnpark(t)
-				t.status = statusRunnable
-				t.park = parkInfo{}
-				t.cur = &throwNode{e}
-				rt.enqueue(t)
-				rt.trace(EvUnpark{Thread: t.id})
-				return
-			}
-			rt.unparkWithValue(t, v)
-		})
-	}
-	t.park.cancel = start(complete)
-	rt.trace(EvPark{Thread: t.id, Reason: "await"})
-	rt.obsPark(t, parkAwait, 0)
+		return nil, true
+	}}
 }

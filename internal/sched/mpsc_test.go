@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // --- mpscRing unit tests ---------------------------------------------------
@@ -179,6 +180,14 @@ func TestMpscPushPopNoAlloc(t *testing.T) {
 	}
 }
 
+// TestShardMsgSize pins the mailbox entry's size: every MPSC ring slot
+// holds one, and every runtime allocates a ring per shard.
+func TestShardMsgSize(t *testing.T) {
+	if n := unsafe.Sizeof(shardMsg{}); n > 40 {
+		t.Fatalf("shardMsg is %d bytes, want at most 40", n)
+	}
+}
+
 // --- send/processMailbox overflow slow path --------------------------------
 
 // overflowHarness builds a 2-shard engine (workers not started: RunMain
@@ -187,8 +196,8 @@ func TestMpscPushPopNoAlloc(t *testing.T) {
 func overflowHarness(t *testing.T) (e *engine, target *RT) {
 	t.Helper()
 	rt := NewRT(Options{TimeSlice: 50, Shards: 2, mailboxCap: 8})
-	if rt.eng == nil {
-		t.Fatalf("expected a parallel engine")
+	if len(rt.eng.shards) != 2 {
+		t.Fatalf("expected a 2-shard engine")
 	}
 	return rt.eng, rt.eng.shards[1]
 }

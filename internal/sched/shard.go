@@ -2,7 +2,6 @@ package sched
 
 import (
 	"container/heap"
-	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -12,13 +11,13 @@ import (
 	"asyncexc/internal/obs"
 )
 
-// This file implements the parallel execution engine: the runtime
-// sharded across Options.Shards worker goroutines, each owning a run
-// queue, a timer heap and a mailbox, with work stealing for load
-// balance. The design follows the multicore GHC RTS (per-capability
-// run queues + stealing) and Erlang's schedulers (cross-scheduler
-// signals as messages), chosen so the paper's delivery semantics carry
-// over unchanged:
+// This file implements the execution engine: the runtime sharded across
+// Options.Shards shards, each owning a run queue, a timer heap and a
+// mailbox, with work stealing for load balance. One shard is the
+// default; each further shard adds a worker goroutine. The design
+// follows the multicore GHC RTS (per-capability run queues + stealing)
+// and Erlang's schedulers (cross-scheduler signals as messages), chosen
+// so the paper's delivery semantics carry over unchanged:
 //
 //   - A thread is owned by exactly one shard at a time; only the owner
 //     steps it or transitions its status. Ownership moves only when a
@@ -27,73 +26,65 @@ import (
 //     a single total order and rule (Receive) keeps firing only at
 //     redex boundaries of that order.
 //   - Anything another shard wants done to a thread — landing a
-//     throwTo, waking a parked waiter, completing an await — travels as
-//     a mailbox message to the owner, processed between time slices.
-//     Delivery points are therefore exactly the serial ones.
-//   - MVar and console handoffs commit under the MVar/console lock:
-//     popping a waiter from a wait queue commits its wakeup. An
+//     throwTo, resuming a parked thread — travels as a mailbox message
+//     to the owner, processed between time slices. Delivery points are
+//     therefore the same at every shard count.
+//   - MVar, console and promise handoffs commit under the object's
+//     lock: popping a waiter from a wait queue commits its wakeup. An
 //     interrupt that loses this race (rule Interrupt vs. an in-flight
 //     committed wakeup) appends the exception to the thread's pending
 //     queue instead, which is precisely §5.3's "right up until the
 //     point when it acquires the MVar" — the acquisition has happened,
 //     so the exception waits for the next delivery point.
 //
-// Serial mode (Shards <= 1) never takes any of these locks and is
-// bit-for-bit the old single-goroutine interpreter.
+// At one shard every lock is uncontended and every wakeup is local;
+// the idle path skips the sibling spin and stealing finds no victims.
 
 // shardMsgKind enumerates cross-shard mailbox messages.
 type shardMsgKind uint8
 
 const (
-	// msgThrowTo lands an asynchronous exception (with optional §9
-	// synchronous waiter) on a thread owned by the receiving shard.
+	// msgThrowTo lands an asynchronous exception on a thread owned by
+	// the receiving shard; v is the *pendingExc (with the §9
+	// synchronous waiter, if any).
 	msgThrowTo shardMsgKind = iota
-	// msgUnpark resumes a thread whose MVar/console wakeup was
-	// committed by another shard; must-deliver.
-	msgUnpark
-	// msgWakeWaiter wakes a synchronous thrower once its exception was
-	// delivered (or its target died); droppable, guarded by parkSeq.
-	msgWakeWaiter
+	// msgResume resumes thread t out of park episode seq (its parkSeq
+	// when the wakeup was decided). It is the one resume message: a
+	// committed MVar/console/promise handoff (v is the handed value;
+	// a promise awaiter reads its settled promise), a synchronous
+	// thrower's wake, and an await completion (v is an *awaitDone). A
+	// message whose episode has ended is dropped; see resume.
+	msgResume
 	// msgWithdraw removes an interrupted synchronous thrower's
-	// in-flight exception from the target's pending queue.
+	// in-flight exception from t's pending queue; v is the thrower.
 	msgWithdraw
-	// msgAwaitDone carries an I/O-manager completion to the owner of
-	// the awaiting thread; staleness-checked against park.awaitID.
-	msgAwaitDone
 	// msgAdopt enqueues a freshly spawned thread on the shard it was
 	// pinned to (ForkOn): the thread was created already owned by the
 	// receiver and has never been in any run queue.
 	msgAdopt
-	// msgPromiseWake resumes a promise awaiter whose wakeup was
-	// committed by the settling shard (popped from p.waiters under
-	// p.mu); must-deliver, like msgUnpark.
-	msgPromiseWake
 	// msgSignal lands a non-lethal signal on a thread owned by the
-	// receiving shard; it joins the target's signal queue (signals
-	// never interrupt parks).
+	// receiving shard; v is the *pendingSig. It joins the target's
+	// signal queue (signals never interrupt parks).
 	msgSignal
 )
 
-// shardMsg is one mailbox entry.
+// shardMsg is one mailbox entry; every MPSC ring slot holds one, so it
+// is kept to four words. Payloads too big for v travel behind a
+// pointer.
 type shardMsg struct {
-	kind      shardMsgKind
-	t         *Thread
-	v         any
-	e         exc.Exception
-	waiter    *Thread
-	waiterSeq uint64
-	seq       uint64 // parkSeq (msgWakeWaiter), awaitID (msgAwaitDone), promise id (msgPromiseWake), sender tid (msgSignal)
-	dropped   func(v any, e exc.Exception)
-	// span and enqNS carry the obs span id and enqueue timestamp of a
-	// msgThrowTo/msgSignal across shards (see pendingExc/pendingSig);
-	// for msgPromiseWake span is the promise's span.
-	span  uint64
-	enqNS int64
-	// sig is a msgSignal's payload.
-	sig Signal
-	// cancelled marks a msgPromiseWake for a cancelled promise (the
-	// awaiter's KindAwait event carries FlagCancel).
-	cancelled bool
+	t    *Thread
+	v    any
+	seq  uint64
+	kind shardMsgKind
+}
+
+// awaitDone is an external completion travelling in a msgResume: the
+// result, and the handler that reclaims it when the awaiter has moved
+// on.
+type awaitDone struct {
+	v       any
+	e       exc.Exception
+	dropped func(v any, e exc.Exception)
 }
 
 // threadTable is the striped id → thread map shared by all shards.
@@ -139,35 +130,29 @@ func (tb *threadTable) get(id ThreadID) *Thread {
 	return t
 }
 
-// parkedSnapshot lists parked threads. Only meaningful under global
-// quiescence (deadlock detection), when no shard is mutating statuses.
-func (tb *threadTable) parkedSnapshot() []*Thread {
-	var out []*Thread
+// each calls f on every live thread, bucket by bucket under the bucket
+// lock.
+func (tb *threadTable) each(f func(t *Thread)) {
 	for i := range tb.buckets {
 		b := &tb.buckets[i]
 		b.mu.Lock()
 		for _, t := range b.m {
-			if t.status == statusParked {
-				out = append(out, t)
-			}
+			f(t)
 		}
 		b.mu.Unlock()
 	}
-	return out
 }
 
 func (tb *threadTable) clear() {
 	for i := range tb.buckets {
 		b := &tb.buckets[i]
 		b.mu.Lock()
-		for id := range b.m {
-			delete(b.m, id)
-		}
+		clear(b.m)
 		b.mu.Unlock()
 	}
 }
 
-// engine is the shared state of a parallel run.
+// engine is the state the shards of one runtime share.
 type engine struct {
 	opts   Options
 	shards []*RT
@@ -176,9 +161,7 @@ type engine struct {
 	nextTID      atomic.Int64
 	nextMVarID   atomic.Uint64
 	nextTimerSeq atomic.Uint64
-	nextAwaitID  atomic.Uint64
 
-	runnable      atomic.Int64 // threads sitting in some run queue
 	msgs          atomic.Int64 // mailbox messages (and external events) in flight
 	outstandingIO atomic.Int64
 	live          atomic.Int64 // live (unfinished) threads
@@ -195,6 +178,10 @@ type engine struct {
 	// channel nudge entirely while it is zero, and the shard whose
 	// increment completes the count is the quiesce candidate.
 	idlers atomic.Int32
+	// idleExits counts exits from the idle path (bumped before idlers
+	// drops), so a quiescence check can tell that no shard left idle —
+	// and so none applied any work — while it read the counters.
+	idleExits atomic.Uint64
 
 	done chan struct{}
 	// stopped mirrors done's closed state as an atomic flag, so the
@@ -224,8 +211,6 @@ func (e *engine) finishMain(res Result) {
 		close(e.done)
 	})
 }
-
-func (e *engine) lookup(id ThreadID) *Thread { return e.table.get(id) }
 
 // send enqueues m in to's mailbox and wakes it if it is idling. The
 // in-flight counter is raised before the append so the quiescence
@@ -283,138 +268,65 @@ func (rt *RT) wake() {
 	}
 }
 
-// buildEngine shards the freshly constructed rt across Options.Shards
-// workers. Called from NewRT — before the RT can escape to any other
-// goroutine — so rt.eng is immutable for the RT's whole lifetime and
-// External may read it without synchronization.
-func (rt *RT) buildEngine() {
-	n := rt.opts.Shards
-	e := &engine{opts: rt.opts, done: make(chan struct{})}
-	e.table.init()
-	if tr := rt.opts.Tracer; tr != nil {
-		// A single tracer callback observed from many shards: serialize.
-		var mu sync.Mutex
-		e.opts.Tracer = func(ev Event) {
-			mu.Lock()
-			tr(ev)
-			mu.Unlock()
-		}
-	}
-	e.shards = make([]*RT, n)
-	e.shards[0] = rt
-	for i := 1; i < n; i++ {
-		s := &RT{
-			opts:    e.opts,
-			threads: make(map[ThreadID]*Thread),
-			rng:     rand.New(rand.NewSource(e.opts.Seed + int64(uint64(i)*0x9E3779B97F4A7C15))),
-		}
-		s.console = rt.console
-		s.bindSimCaps()
-		e.shards[i] = s
-	}
-	rt.opts = e.opts
-	ringCap := e.opts.mailboxCap
-	if ringCap <= 0 {
-		ringCap = 1024
-	}
-	for i, s := range e.shards {
-		s.eng = e
-		s.shardID = i
-		s.wakeCh = make(chan struct{}, 1)
-		s.mail = newMpscRing(ringCap)
-		s.obsAttach(i)
-	}
-}
-
-// runParallel is RunMain for Options.Shards > 1: it runs shard 0's
-// worker loop on the calling goroutine and one goroutine per extra
-// shard, and returns the main thread's result. The engine itself was
-// built by NewRT.
-func (rt *RT) runParallel(main Node) (Result, error) {
-	e := rt.eng
-	if e.opts.Sim != nil {
-		// Deterministic simulation: no worker goroutines — a single
-		// cooperative driver interleaves the shards (sim.go).
-		return rt.runSimulated(main)
-	}
-	n := len(e.shards)
-	e.realEpoch = time.Now()
-	rt.realEpoch = e.realEpoch
-	e.mainThread = rt.spawn(main, "main", Unmasked, 0)
-	rt.mainThread = e.mainThread
-
-	var wg sync.WaitGroup
-	for i := 1; i < n; i++ {
-		wg.Add(1)
-		go func(s *RT) {
-			defer wg.Done()
-			s.workerLoop()
-		}(e.shards[i])
-	}
-	rt.workerLoop()
-	wg.Wait()
-	// Rule (Proc GC): once the main thread is finished, all other
-	// threads die.
-	e.table.clear()
-	if e.runErr != nil {
-		return Result{}, e.runErr
-	}
-	return e.result, nil
-}
-
-// workerLoop is one shard's scheduler loop: drain messages, run one
-// slice of local (or stolen) work, repeat; idle when there is none.
-// The steady-state iteration is lock- and channel-free: the stop
-// signal, the mailbox, the external-event queue, the run queues and
-// the real clock are all probed through atomic flags/counters, and
-// the heavier machinery behind each one runs only when its flag says
-// there is something to do.
+// workerLoop is one shard's scheduler loop: take turns, idle when a
+// turn finds no work. The steady-state iteration is lock- and
+// channel-free: the stop signal, the mailbox, the external-event
+// queue, the run queues and the real clock are all probed through
+// atomic flags/counters, and the heavier machinery behind each one
+// runs only when its flag says there is something to do.
 func (rt *RT) workerLoop() {
 	e := rt.eng
-	zero := rt.shardID == 0
 	real := e.opts.Clock == RealClock
 	var iter uint
-	for {
-		if e.stopped.Load() {
-			rt.publishStats()
-			rt.obsFlush()
-			return
-		}
+	for !e.stopped.Load() {
 		iter++
 		if rt.statsReq.Load() || iter&63 == 0 {
 			rt.statsReq.Store(false)
 			rt.publishStats()
 		}
-		if zero && rt.extN.Load() > 0 {
-			rt.drainExternalShard()
-		}
-		if rt.mailN.Load() > 0 {
-			rt.processMailbox()
-		}
 		if real && iter&31 == 0 {
-			rt.syncRealClockShard()
+			rt.syncRealClock()
 		}
-		t := rt.kept
-		rt.kept = nil
-		if t == nil {
-			if rt.qlen.Load() > 0 {
-				t = rt.popLocal()
-			}
-			if t == nil {
-				t = rt.steal()
-			}
-		}
-		if t == nil {
+		if !rt.turn() {
 			rt.publishStats()
 			rt.obsFlush()
 			if err := rt.idleShard(); err != nil {
 				e.fail(err)
 			}
-			continue
 		}
-		rt.runSliceShard(t)
-		rt.obsFlush()
 	}
+	rt.publishStats()
+	rt.obsFlush()
+}
+
+// turn is one scheduler iteration on this shard: apply external events
+// and mailbox messages, then run one time slice of the kept, a local
+// or a stolen thread. It reports false when there was nothing to run.
+// The live worker loop and the simulation driver both step shards only
+// through turn.
+func (rt *RT) turn() bool {
+	if rt.extN.Load() > 0 || len(rt.simExt) > 0 {
+		rt.drainExternal()
+	}
+	if rt.mailN.Load() > 0 {
+		rt.processMailbox()
+	}
+	t := rt.kept
+	rt.kept = nil
+	if t == nil {
+		if rt.qlen.Load() > 0 {
+			t = rt.popLocal()
+		}
+		if t == nil {
+			t = rt.steal()
+		}
+		if t == nil {
+			return false
+		}
+	}
+	rt.runSlice(t)
+	rt.obsFlush()
+	return true
 }
 
 // publishStats snapshots this shard's counters under the shard lock so
@@ -427,19 +339,49 @@ func (rt *RT) publishStats() {
 	rt.smu.Unlock()
 }
 
-// drainExternalShard runs queued External callbacks on shard 0 (the
-// serial-mode contract: external closures run inside the scheduler).
-// The caller has seen extN > 0; each receive pays the counter back.
-func (rt *RT) drainExternalShard() {
+// drainExternal runs queued External callbacks (shard 0 only; the
+// caller has seen extN > 0 or a held-back event). Each receive pays
+// the extN counter back, and each application the msgs counter. Under
+// simulation the queue is moved into the hold-back buffer first and
+// the callbacks run one at a time in source-chosen order: replay
+// forces the recorded arrival order, recording keeps FIFO and logs the
+// labels.
+func (rt *RT) drainExternal() {
+	src := rt.opts.Sim
 	for {
 		select {
 		case ev := <-rt.events:
 			rt.extN.Add(-1)
-			ev.f(rt)
-			rt.eng.msgs.Add(-1)
+			if src == nil {
+				ev.f(rt)
+				rt.eng.msgs.Add(-1)
+			} else {
+				rt.simExt = append(rt.simExt, ev)
+			}
+			continue
 		default:
+		}
+		if len(rt.simExt) == 0 {
 			return
 		}
+		idx := 0
+		if rt.simPick && len(rt.simExt) > 1 {
+			labels := make([]uint64, len(rt.simExt))
+			for i := range rt.simExt {
+				labels[i] = rt.simExt[i].label
+			}
+			if p := src.PickExternal(labels); p >= 0 && p < len(rt.simExt) {
+				idx = p
+			}
+		}
+		n := len(rt.simExt)
+		ev := rt.simExt[idx]
+		copy(rt.simExt[idx:], rt.simExt[idx+1:])
+		rt.simExt[n-1] = extEvent{}
+		rt.simExt = rt.simExt[:n-1]
+		src.Observe(SimEvent{Kind: SimExternal, Shard: uint8(rt.shardID), A: uint32(n), B: ev.label})
+		ev.f(rt)
+		rt.eng.msgs.Add(-1)
 	}
 }
 
@@ -502,31 +444,14 @@ func (rt *RT) processMailbox() {
 			rt.applyMsg(batch[i])
 			e.msgs.Add(-1)
 		}
-		for i := range batch {
-			batch[i] = shardMsg{}
-		}
+		clear(batch)
 		rt.mailSpare = batch[:0]
 	}
 }
 
-// ownedState reads t's status and park info under the shard lock,
-// verifying this shard still owns t. ok=false means t migrated (was
-// stolen) and the message must be forwarded to the new owner. When
-// ok is true and the status is parked or done, the state is stable:
-// only the owner transitions those states, and parked threads are
-// never stolen.
-func (rt *RT) ownedState(t *Thread) (threadStatus, parkInfo, bool) {
-	rt.smu.Lock()
-	if t.owner.Load() != rt {
-		rt.smu.Unlock()
-		return 0, parkInfo{}, false
-	}
-	st, pk := t.status, t.park
-	rt.smu.Unlock()
-	return st, pk, true
-}
-
-// applyMsg handles one mailbox message on the owning shard.
+// applyMsg handles one mailbox message on the receiving shard. Every
+// kind re-checks ownership under the shard lock and forwards the
+// message when the thread has migrated.
 func (rt *RT) applyMsg(m shardMsg) {
 	e := rt.eng
 	if s := rt.opts.Sim; s != nil {
@@ -538,65 +463,21 @@ func (rt *RT) applyMsg(m shardMsg) {
 	}
 	switch m.kind {
 	case msgThrowTo:
-		if !rt.deliverLocal(m.t, pendingExc{e: m.e, waiter: m.waiter, waiterSeq: m.waiterSeq, span: m.span, enqNS: m.enqNS}) {
+		if !rt.deliverLocal(m.t, *m.v.(*pendingExc)) {
 			e.send(m.t.owner.Load(), m)
 		}
 
-	case msgUnpark:
-		// A committed handoff: the thread stays parked until this
-		// message arrives — nothing else may have resumed it. The
-		// ownership check, park-state check, status flip and run-queue
-		// push run in ONE shard-lock critical section (the two-message
-		// ping-pong hot path), instead of ownedState + enqueueShard's
-		// separate acquisitions.
-		t := m.t
-		rt.smu.Lock()
-		if t.owner.Load() != rt {
-			rt.smu.Unlock()
-			e.send(t.owner.Load(), m)
-			return
-		}
-		if t.status != statusParked {
-			rt.smu.Unlock()
-			return
-		}
-		switch t.park.kind {
-		case parkTakeMVar, parkPutMVar, parkGetChar:
-			rt.unparkQueuedLocked(t, &retNode{m.v})
-		default:
-			rt.smu.Unlock()
-		}
-
-	case msgWakeWaiter:
-		t := m.t
-		rt.smu.Lock()
-		if t.owner.Load() != rt {
-			rt.smu.Unlock()
-			e.send(t.owner.Load(), m)
-			return
-		}
-		if t.status == statusParked && t.park.kind == parkThrowTo && t.parkSeq == m.seq {
-			rt.unparkQueuedLocked(t, unitRet)
-		} else {
-			rt.smu.Unlock()
-		}
+	case msgResume:
+		rt.resume(m.t, m.seq, m.v)
 
 	case msgWithdraw:
 		rt.smu.Lock()
-		if m.t.owner.Load() != rt {
+		if own := m.t.owner.Load(); own != rt {
 			rt.smu.Unlock()
-			e.send(m.t.owner.Load(), m)
+			e.send(own, m)
 			return
 		}
-		tgt := m.t
-		for i := range tgt.pending {
-			if tgt.pending[i].waiter == m.waiter {
-				copy(tgt.pending[i:], tgt.pending[i+1:])
-				tgt.pending[len(tgt.pending)-1] = pendingExc{}
-				tgt.pending = tgt.pending[:len(tgt.pending)-1]
-				break
-			}
-		}
+		m.t.withdraw(m.v.(*Thread))
 		rt.smu.Unlock()
 
 	case msgAdopt:
@@ -604,65 +485,76 @@ func (rt *RT) applyMsg(m shardMsg) {
 		// no ownership re-check is needed: nothing can have stolen it.
 		rt.enqueue(m.t)
 
-	case msgPromiseWake:
-		// A committed promise wakeup: the waiter was popped from
-		// p.waiters under p.mu and stays parked until this message
-		// arrives — nothing else may have resumed it (mirrors
-		// msgUnpark).
-		t := m.t
-		rt.smu.Lock()
-		if t.owner.Load() != rt {
-			rt.smu.Unlock()
-			e.send(t.owner.Load(), m)
-			return
-		}
-		if t.status != statusParked || t.park.kind != parkPromise {
-			rt.smu.Unlock()
-			return
-		}
-		rt.obsAwait(t.id, uint8(t.mask), m.span, m.seq, m.cancelled)
-		rt.stats.Awaits++
-		rt.unparkQueuedLocked(t, promiseOutcome(m.v, m.e))
-
 	case msgSignal:
-		s := pendingSig{sig: m.sig, from: ThreadID(m.seq), span: m.span, enqNS: m.enqNS}
-		if !rt.signalLocal(m.t, s) {
+		if !rt.signalLocal(m.t, *m.v.(*pendingSig)) {
 			e.send(m.t.owner.Load(), m)
 		}
-
-	case msgAwaitDone:
-		st, pk, ok := rt.ownedState(m.t)
-		if !ok {
-			e.send(m.t.owner.Load(), m)
-			return
-		}
-		e.outstandingIO.Add(-1)
-		if st != statusParked || pk.kind != parkAwait || pk.awaitID != m.seq {
-			if m.dropped != nil {
-				m.dropped(m.v, m.e)
-			}
-			return
-		}
-		t := m.t
-		if m.e != nil {
-			rt.obsUnpark(t)
-			t.status = statusRunnable
-			t.park = parkInfo{}
-			t.cur = &throwNode{m.e}
-			rt.enqueue(t)
-			rt.trace(EvUnpark{Thread: t.id})
-			return
-		}
-		rt.unparkWithValue(t, m.v)
 	}
+}
+
+// resume is the one wakeup path: it makes t runnable again if t is
+// still in park episode seq, on this shard when it owns t and as a
+// msgResume to its owner otherwise (the owner calls resume again). The
+// ownership check, episode check, status flip and run-queue push run
+// in one shard-lock critical section.
+//
+// A committed handoff (the thread was popped from an MVar, console or
+// promise wait queue) always finds its episode current: the thread
+// stays parked until this call, because an interrupt can no longer
+// detach it. Droppable wakes — a synchronous thrower's, an await
+// completion's — find it ended when the thread was interrupted and has
+// moved on. The thread resumes with:
+//
+//   - an *awaitDone v: the completion's value or exception. Its
+//     outstanding-I/O count is paid back here whether or not the
+//     episode is current, and a stale result goes to its dropped
+//     handler.
+//   - a parked promise awaiter: the settled promise's outcome.
+//   - otherwise: return v.
+func (rt *RT) resume(t *Thread, seq uint64, v any) {
+	rt.smu.Lock()
+	if own := t.owner.Load(); own != rt {
+		rt.smu.Unlock()
+		rt.eng.send(own, shardMsg{kind: msgResume, t: t, seq: seq, v: v})
+		return
+	}
+	aw, isAwait := v.(*awaitDone)
+	if isAwait {
+		rt.eng.outstandingIO.Add(-1)
+	}
+	if t.status != statusParked || t.parkSeq != seq {
+		rt.smu.Unlock()
+		if isAwait && aw.dropped != nil {
+			aw.dropped(aw.v, aw.e)
+		}
+		return
+	}
+	if rt.simDropUnpark(t) {
+		// Mutation seam (IpDropUnpark): lose the wakeup; the thread
+		// stays parked forever. Seeded bug for the mutation suite.
+		rt.smu.Unlock()
+		return
+	}
+	var cur Node
+	switch {
+	case isAwait:
+		cur = promiseOutcome(aw.v, aw.e)
+	case t.park.kind == parkPromise:
+		p := t.park.pr
+		rt.obsAwait(t.id, uint8(t.mask), p.span, p.id, p.state == promiseCancelled)
+		rt.stats.Awaits++
+		cur = promiseOutcome(p.val, p.exc)
+	default:
+		cur = &retNode{v}
+	}
+	rt.unparkQueuedLocked(t, cur)
 }
 
 // unparkQueuedLocked finishes an owner-side unpark with rt.smu already
 // held: it makes t runnable with continuation cur, pushes it on the run
 // queue, and releases the lock. The counter bump, sibling wake and
 // trace run after the release (the tracer mutex must never nest inside
-// smu). Mirrors unparkWithValue + enqueueShard fused into the caller's
-// critical section.
+// smu).
 func (rt *RT) unparkQueuedLocked(t *Thread, cur Node) {
 	rt.obsUnpark(t)
 	t.status = statusRunnable
@@ -672,38 +564,49 @@ func (rt *RT) unparkQueuedLocked(t *Thread, cur Node) {
 	n := rt.runq.Len()
 	rt.qlen.Store(int32(n))
 	rt.smu.Unlock()
-	rt.eng.runnable.Add(1)
 	if n > 1 {
 		rt.eng.wakeIdleSibling(rt.shardID)
 	}
 	rt.trace(EvUnpark{Thread: t.id})
 }
 
-// enqueueShard pushes t on this shard's run queue.
-func (rt *RT) enqueueShard(t *Thread) {
+// enqueue pushes t on this shard's run queue.
+func (rt *RT) enqueue(t *Thread) {
 	rt.smu.Lock()
 	rt.runq.pushBack(t)
 	n := rt.runq.Len()
 	rt.qlen.Store(int32(n))
 	rt.smu.Unlock()
-	rt.eng.runnable.Add(1)
 	if n > 1 {
 		rt.eng.wakeIdleSibling(rt.shardID)
 	}
 }
 
-// popLocal pops the next runnable thread from this shard's queue. The
-// hot loop guards the call with a lock-free qlen probe, so the lock is
-// taken only when the queue is believed non-empty.
+// popLocal pops the next runnable thread from this shard's queue:
+// round-robin by default; with Options.RandomSched the fair shuffle (a
+// uniformly chosen queued thread is swapped to the front and popped).
+// Under simulation the source may force that index (replay), and every
+// pick taken is observed (recording); a -1 answer draws the shard's own
+// seeded rng, exactly as an unrecorded run would. The hot loop guards
+// the call with a lock-free qlen probe, so the lock is taken only when
+// the queue is believed non-empty.
 func (rt *RT) popLocal() *Thread {
 	rt.smu.Lock()
 	for rt.runq.Len() > 0 {
 		if rt.opts.RandomSched {
-			rt.runq.swap(0, rt.rng.Intn(rt.runq.Len()))
+			qlen := rt.runq.Len()
+			idx := -1
+			if rt.simPick {
+				idx = rt.opts.Sim.PickRun(rt.shardID, qlen)
+			}
+			if idx < 0 || idx >= qlen {
+				idx = rt.rng.Intn(qlen)
+			}
+			rt.runq.swap(0, idx)
+			rt.simObserve(SimEvent{Kind: SimPickRun, Shard: uint8(rt.shardID), A: uint32(qlen), B: uint64(idx)})
 		}
 		t := rt.runq.popFront()
 		rt.qlen.Store(int32(rt.runq.Len()))
-		rt.eng.runnable.Add(-1)
 		if t.status == statusRunnable {
 			rt.smu.Unlock()
 			return t
@@ -716,14 +619,34 @@ func (rt *RT) popLocal() *Thread {
 // steal takes one runnable thread from the tail of a sibling's queue,
 // transferring ownership. The owner pointer changes under the victim's
 // shard lock, so any shard that verified ownership under its own lock
-// can rely on it until that lock is released.
+// can rely on it until that lock is released. Victims are tried in
+// cyclic order from a seeded start; under simulation the source may
+// force the first victim (PickSteal), only that one is tried, and the
+// attempt — success or pinned-tail failure — is observed.
 func (rt *RT) steal() *Thread {
 	e := rt.eng
 	n := len(e.shards)
-	if n == 1 {
+	var mask uint32 // candidate victims, for the simulation seam (≤ 32 shards)
+	found := false
+	for i, s := range e.shards {
+		if s != rt && s.qlen.Load() > 0 {
+			found = true
+			mask |= 1 << uint(i&31)
+		}
+	}
+	if !found {
 		return nil
 	}
-	start := rt.rng.Intn(n)
+	src := rt.opts.Sim
+	start := -1
+	if rt.simPick {
+		if start = src.PickSteal(rt.shardID, mask); start == -2 {
+			return nil
+		}
+	}
+	if start < 0 || start >= n || mask&(1<<uint(start)) == 0 {
+		start = rt.rng.Intn(n)
+	}
 	for i := 0; i < n; i++ {
 		v := e.shards[(start+i)%n]
 		if v == rt || v.qlen.Load() == 0 {
@@ -743,92 +666,77 @@ func (rt *RT) steal() *Thread {
 			v.qlen.Store(int32(v.runq.Len()))
 			t.owner.Store(rt)
 			t.rt = rt
-			v.smu.Unlock()
-			e.runnable.Add(-1)
+		}
+		v.smu.Unlock()
+		if src != nil {
+			var tid uint64
+			if t != nil {
+				tid = uint64(t.id)
+			}
+			src.Observe(SimEvent{Kind: SimSteal, Shard: uint8(rt.shardID), A: mask, B: uint64(v.shardID+1)<<48 | tid})
+		}
+		if t != nil {
 			rt.stats.Steals++
 			rt.trace(EvSteal{Thread: t.id, From: v.shardID, To: rt.shardID})
 			rt.obsSteal(t, v.shardID, rt.shardID)
 			return t
 		}
-		v.smu.Unlock()
+		if src != nil {
+			return nil
+		}
 	}
 	return nil
 }
 
-// runSliceShard runs t for one time slice on this shard, charging the
-// steps against the engine-wide budget.
-func (rt *RT) runSliceShard(t *Thread) {
-	e := rt.eng
-	t.sliceLeft = rt.opts.TimeSlice
-	before := rt.stats.Steps
-	for t.sliceLeft > 0 && t.status == statusRunnable {
-		t.sliceLeft--
-		rt.step(t)
-	}
-	if e.opts.MaxSteps > 0 && e.steps.Add(rt.stats.Steps-before) >= e.opts.MaxSteps {
-		e.fail(ErrFuelExhausted)
-	}
-	if t.status == statusRunnable {
-		rt.stats.Preemptions++
-		if rt.qlen.Load() == 0 && !rt.opts.RandomSched && rt.opts.Sim == nil {
-			// Run-queue bypass: the shard's sole runnable thread stays
-			// in hand for the next slice instead of round-tripping
-			// through the locked queue. It remains the shard's thread
-			// for delivery purposes (deliverLocal checks owner and
-			// status, not queue membership), and the shard never idles
-			// while holding it, so quiescence still implies no kept
-			// threads anywhere. Disabled under RandomSched: the bypass
-			// skips popLocal's rng draw, which would shift the seeded
-			// random-schedule stream that chaos tests replay.
-			rt.kept = t
-		} else {
-			rt.enqueue(t)
-		}
-	}
-}
-
-// syncRealClockShard advances the engine clock to wall time and fires
-// this shard's due timers (RealClock mode). The heap lock is skipped
+// syncRealClock advances the engine clock to wall time and fires this
+// shard's due timers (RealClock mode). The heap lock is skipped
 // entirely when the shard holds no timers (the timerN probe); the
 // worker loop additionally amortizes the call to every 32nd iteration.
-func (rt *RT) syncRealClockShard() {
+func (rt *RT) syncRealClock() {
 	e := rt.eng
 	now := int64(time.Since(e.realEpoch))
 	for {
 		cur := e.now.Load()
-		if now <= cur {
-			break
-		}
-		if e.now.CompareAndSwap(cur, now) {
+		if now <= cur || e.now.CompareAndSwap(cur, now) {
 			break
 		}
 	}
 	if rt.timerN.Load() == 0 {
 		return
 	}
-	cur := e.now.Load()
 	rt.smu.Lock()
-	due := rt.popDueTimersLocked(cur)
+	rt.due = rt.popDueTimersLocked(e.now.Load(), rt.due[:0])
 	rt.smu.Unlock()
-	for _, t := range due {
-		rt.unparkWithValue(t, UnitValue)
-	}
+	rt.fireDue()
 }
 
-// popDueTimersLocked pops this shard's live timer entries with deadline
-// <= now; caller holds the shard lock and unparks the returned threads
-// after releasing it.
-func (rt *RT) popDueTimersLocked(now int64) []*Thread {
-	var due []*Thread
+// popDueTimersLocked appends this shard's live timer entries with
+// deadline <= now to due, in (deadline, seq) order; caller holds the
+// shard lock.
+func (rt *RT) popDueTimersLocked(now int64, due []timerEntry) []timerEntry {
 	for rt.timers.Len() > 0 && rt.timers.peek().at <= now {
 		en := heap.Pop(&rt.timers).(timerEntry)
 		rt.timerN.Add(-1)
 		if en.live.Load() {
 			en.live.Store(false)
-			due = append(due, en.t)
+			due = append(due, en)
 		}
 	}
 	return due
+}
+
+// fireDue wakes the sleepers in rt.due (rule Sleep: each resumes with
+// return ()), adopting them onto this shard first: under global
+// quiescence fireAllTimers collects every shard's due timers here, and
+// work stealing rebalances afterwards.
+func (rt *RT) fireDue() {
+	for i, en := range rt.due {
+		t := en.t
+		t.owner.Store(rt)
+		t.rt = rt
+		rt.resume(t, t.parkSeq, UnitValue)
+		rt.due[i] = timerEntry{}
+	}
 }
 
 // nextTimerAtLocked returns this shard's earliest live deadline; caller
@@ -851,10 +759,7 @@ func (rt *RT) nextTimerAtLocked() (int64, bool) {
 // steal. All probes are lock-free.
 func (rt *RT) hasWork() bool {
 	e := rt.eng
-	if e.stopped.Load() || rt.kept != nil || rt.qlen.Load() > 0 || rt.mailN.Load() > 0 {
-		return true
-	}
-	if rt.shardID == 0 && rt.extN.Load() > 0 {
+	if e.stopped.Load() || rt.kept != nil || rt.qlen.Load() > 0 || rt.mailN.Load() > 0 || rt.extN.Load() > 0 {
 		return true
 	}
 	for _, s := range e.shards {
@@ -866,25 +771,26 @@ func (rt *RT) hasWork() bool {
 }
 
 // idleShard parks the worker until woken. The shard that brings the
-// idle count to n (all shards idle) with no messages or runnable work
-// in flight is the "last man standing": it alone advances virtual time
-// or runs deadlock detection, mirroring the serial idle() decision
-// tree under global quiescence.
+// idle count to n (all shards idle) is the "last man standing": if the
+// engine is quiescent it alone advances virtual time or runs deadlock
+// detection (quiesce).
 //
-// Before parking the worker spins briefly with Gosched: in a cross-
-// shard ping-pong the reply is usually instants away, and on a
-// machine with fewer cores than shards the yield is what lets the
-// peer produce it. The park itself is guarded by the idling flag
-// (Dekker-paired with every producer-side wake) and uses a reusable
-// timer whose poll doubles as the lost-wake heal.
+// With siblings, the worker first spins briefly with Gosched: in a
+// cross-shard ping-pong the reply is usually instants away, and on a
+// machine with fewer cores than shards the yield is what lets the peer
+// produce it. A single shard has no sibling to yield to and skips the
+// spin. The park itself is guarded by the idling flag (Dekker-paired
+// with every producer-side wake) and uses a reusable timer whose poll
+// doubles as the lost-wake heal.
 func (rt *RT) idleShard() error {
 	e := rt.eng
+	n := int32(len(e.shards))
 	if e.opts.Clock == RealClock {
 		// Keep the clock fresh and fire due timers promptly while idle
 		// (the busy loop amortizes this to every 32nd iteration).
-		rt.syncRealClockShard()
+		rt.syncRealClock()
 	}
-	for spin := 0; spin < 4; spin++ {
+	for spin := 0; n > 1 && spin < 4; spin++ {
 		if rt.hasWork() {
 			return nil
 		}
@@ -894,24 +800,22 @@ func (rt *RT) idleShard() error {
 	// raised here, dropped on every exit. Only the shard whose increment
 	// completes the count — the candidate last man standing — pays for
 	// the quiesce lock; everyone else parks lock-free. In-flight work
-	// cannot be missed: a producer raises msgs/runnable before waking
-	// its target, so either this check sees the counter non-zero or the
-	// target shard is woken, re-enters, and re-triggers the check. The
-	// 200µs poll below re-triggers it too, healing any remaining race.
-	n := int32(len(e.shards))
-	if e.idlers.Add(1) == n && e.msgs.Load() == 0 && e.runnable.Load() == 0 {
+	// cannot be missed: a producer raises msgs or a queue length before waking
+	// its target, so either the quiescence check sees the counter
+	// non-zero or the target shard is woken, re-enters, and re-triggers
+	// the check. The poll below re-triggers it too, healing any
+	// remaining race.
+	if e.idlers.Add(1) == n {
 		e.idleMu.Lock()
 		var acted bool
-		var qerr error
-		// Re-verify under the lock: a sibling may have left the idle
-		// path, or new work may have been raised, since the probe.
-		if e.idlers.Load() == n && e.msgs.Load() == 0 && e.runnable.Load() == 0 {
-			acted, qerr = rt.quiesceLocked()
+		var err error
+		if io, ok := e.quiescent(n); ok {
+			acted, err = rt.quiesce(io)
 		}
 		e.idleMu.Unlock()
-		if qerr != nil || acted {
-			e.idlers.Add(-1)
-			return qerr
+		if err != nil || acted {
+			e.leaveIdle()
+			return err
 		}
 	}
 	rt.idling.Store(true)
@@ -921,7 +825,7 @@ func (rt *RT) idleShard() error {
 	// wake us or we see their work and refuse to park.
 	if rt.hasWork() {
 		rt.idling.Store(false)
-		e.idlers.Add(-1)
+		e.leaveIdle()
 		return nil
 	}
 	wait := 200 * time.Microsecond
@@ -930,12 +834,7 @@ func (rt *RT) idleShard() error {
 		if rt.timerN.Load() > 0 {
 			rt.smu.Lock()
 			if at, ok := rt.nextTimerAtLocked(); ok {
-				if d := time.Duration(at - e.now.Load()); d < wait {
-					if d < 0 {
-						d = 0
-					}
-					wait = d
-				}
+				wait = min(wait, max(time.Duration(at-e.now.Load()), 0))
 			}
 			rt.smu.Unlock()
 		}
@@ -953,50 +852,70 @@ func (rt *RT) idleShard() error {
 	case <-rt.idleTimer.C:
 	}
 	rt.idling.Store(false)
-	e.idlers.Add(-1)
+	e.leaveIdle()
 	return nil
 }
 
-// quiesceLocked runs with the idle lock held on the last idle shard
-// under global quiescence. It returns acted=true when it changed state
-// (advanced time or injected BlockedIndefinitely) so the caller should
-// re-enter its loop instead of sleeping.
-func (rt *RT) quiesceLocked() (bool, error) {
-	e := rt.eng
-	if e.opts.Clock == VirtualClock && e.outstandingIO.Load() == 0 {
-		if at, ok := e.earliestTimer(); ok {
-			from := e.now.Load()
-			e.now.Store(at)
-			rt.stats.TimeAdvances++
-			rt.trace(EvTimeAdvance{FromNS: from, ToNS: at})
-			rt.fireAllTimers(at)
-			return true, nil
+// leaveIdle records an exit from the idle path.
+func (e *engine) leaveIdle() {
+	e.idleExits.Add(1)
+	e.idlers.Add(-1)
+}
+
+// quiescent reports whether all n shards are idle with no message,
+// external event or queued thread in flight, and returns the
+// outstanding-I/O count read under that condition. The counters are
+// read in the reverse of the order in which work releases them: a
+// completion raises msgs before it pays back outstandingIO, and a
+// message raises its target's queue length before it pays back msgs.
+// So outstandingIO is read first, and a completion applied between
+// the reads still shows in msgs or a queue length. The check holds only if no shard left
+// the idle path meanwhile (idleExits unchanged): then no shard applied
+// anything during the reads, and the snapshot is consistent.
+func (e *engine) quiescent(n int32) (int64, bool) {
+	exits := e.idleExits.Load()
+	if e.idlers.Load() != n {
+		return 0, false
+	}
+	io := e.outstandingIO.Load()
+	if e.msgs.Load() != 0 {
+		return 0, false
+	}
+	for _, s := range e.shards {
+		if s.qlen.Load() != 0 {
+			return 0, false
 		}
 	}
-	if e.opts.Clock == RealClock {
-		if _, ok := e.earliestTimer(); ok {
-			// Real timers are waited out by idleShard's timed sleep.
+	return io, e.idlers.Load() == n && e.idleExits.Load() == exits
+}
+
+// quiesce acts for an engine with no runnable thread and nothing in
+// flight; io is the outstanding-I/O count read by the quiescence
+// check. Under the virtual clock it jumps time to the earliest timer
+// (the fastest clock rule Sleep permits) unless a completion is still
+// outstanding; a real-clock timer, an outstanding completion or a
+// parked getChar reader with input open means waiting for the
+// environment; anything else is a deadlock. It returns acted=true when
+// it changed state (advanced time or injected BlockedIndefinitely), so
+// the caller should run another turn instead of waiting.
+func (rt *RT) quiesce(io int64) (bool, error) {
+	e := rt.eng
+	if at, ok := e.earliestTimer(); ok {
+		if e.opts.Clock == RealClock || io > 0 {
 			return false, nil
 		}
+		from := e.now.Load()
+		e.now.Store(at)
+		rt.stats.TimeAdvances++
+		rt.trace(EvTimeAdvance{FromNS: from, ToNS: at})
+		rt.simObserve(SimEvent{Kind: SimAdvance, B: uint64(at)})
+		rt.fireAllTimers(at)
+		return true, nil
 	}
-	if e.outstandingIO.Load() > 0 {
+	if io > 0 || rt.console.waitingReaders() {
 		return false, nil
 	}
-	if e.opts.Clock == VirtualClock {
-		if _, ok := e.earliestTimer(); ok {
-			// Timers exist but I/O is outstanding (checked above): the
-			// serial loop waits for the completion rather than advancing
-			// past it; unreachable here because outstandingIO == 0, but
-			// kept for symmetry.
-			_ = ok
-		}
-	}
-	if rt.console.waitingReaders() {
-		// Parked getChar readers with input not closed: the environment
-		// may still inject input, so this is a wait, not a deadlock.
-		return false, nil
-	}
-	return true, rt.parallelDeadlock()
+	return true, rt.deadlock()
 }
 
 // earliestTimer scans every shard's heap for the earliest live timer.
@@ -1013,37 +932,47 @@ func (e *engine) earliestTimer() (int64, bool) {
 	return best, ok
 }
 
-// fireAllTimers pops due entries from every shard's heap and adopts the
-// sleepers onto the calling shard (safe under global quiescence; work
-// stealing rebalances afterwards).
+// fireAllTimers pops due entries from every shard's heap and wakes the
+// sleepers on the calling shard in (deadline, seq) order — the order a
+// single heap pops them in (safe under global quiescence).
 func (rt *RT) fireAllTimers(now int64) {
-	var due []*Thread
+	due := rt.due[:0]
 	for _, s := range rt.eng.shards {
 		s.smu.Lock()
-		due = append(due, s.popDueTimersLocked(now)...)
+		due = s.popDueTimersLocked(now, due)
 		s.smu.Unlock()
 	}
-	sortThreadsByID(due)
-	for _, t := range due {
-		t.owner.Store(rt)
-		t.rt = rt
-		rt.unparkWithValue(t, UnitValue)
+	for i := 1; i < len(due); i++ {
+		for j := i; j > 0 && due[j].before(due[j-1]); j-- {
+			due[j], due[j-1] = due[j-1], due[j]
+		}
 	}
+	rt.due = due
+	rt.fireDue()
 }
 
-// parallelDeadlock is deadlock() under global quiescence: every shard
-// is idle, no messages or I/O are in flight, and no timer can fire.
-// The detecting shard adopts every parked thread and wakes it with
-// BlockedIndefinitely, exactly as the serial detector does.
-func (rt *RT) parallelDeadlock() error {
-	e := rt.eng
-	if !e.opts.DetectDeadlock {
+// deadlock handles global quiescence with every live thread stuck on an
+// MVar, promise or closed input: no shard is running, no message or
+// I/O is in flight, and no timer can fire. With detection enabled the
+// detecting shard adopts every parked thread and wakes it with
+// BlockedIndefinitely — they are stuck, hence interruptible, so rule
+// (Interrupt) justifies delivery even under Block; the uninterruptible
+// extension state is overridden, as in GHC, because no other delivery
+// opportunity can ever arise.
+func (rt *RT) deadlock() error {
+	if !rt.opts.DetectDeadlock {
 		return ErrDeadlock
 	}
-	stuck := e.table.parkedSnapshot()
+	var stuck []*Thread
+	rt.eng.table.each(func(t *Thread) {
+		if t.status == statusParked {
+			stuck = append(stuck, t)
+		}
+	})
 	if len(stuck) == 0 {
 		return ErrDeadlock
 	}
+	// Deterministic order for reproducibility.
 	sortThreadsByID(stuck)
 	ids := make([]ThreadID, len(stuck))
 	for i, t := range stuck {
@@ -1060,23 +989,19 @@ func (rt *RT) parallelDeadlock() error {
 	return nil
 }
 
-// ShardStats returns one Stats snapshot per shard ([1]Stats in serial
-// mode). In parallel mode every shard's counters — including the
-// calling shard's own — are read from the snapshot each worker
-// publishes under its shard lock, so ShardStats is safe from any
-// goroutine while shards run. Publication is copy-on-demand: each read
-// raises the shard's statsReq flag so the worker refreshes its
-// snapshot at the next loop iteration (busy workers also publish every
-// 64th iteration and at idle/stop boundaries — an idle shard's
-// snapshot is already current, since it published on the way in and
-// runs no steps while parked). Mid-run reads may therefore lag
-// slightly; counters remain monotonic. (Worker-context readers that
-// need current-slice freshness publish their own shard first: see the
-// getStats family of primitives.)
+// ShardStats returns one Stats snapshot per shard. Every shard's
+// counters — including the calling shard's own — are read from the
+// snapshot each worker publishes under its shard lock, so ShardStats is
+// safe from any goroutine while shards run. Publication is
+// copy-on-demand: each read raises the shard's statsReq flag so the
+// worker refreshes its snapshot at the next loop iteration (busy
+// workers also publish every 64th iteration and at idle/stop
+// boundaries — an idle shard's snapshot is already current, since it
+// published on the way in and runs no steps while parked). Mid-run
+// reads may therefore lag slightly; counters remain monotonic.
+// (Worker-context readers that need current-slice freshness publish
+// their own shard first: see the getStats family of primitives.)
 func (rt *RT) ShardStats() []Stats {
-	if rt.eng == nil {
-		return []Stats{rt.stats}
-	}
 	out := make([]Stats, len(rt.eng.shards))
 	for i, s := range rt.eng.shards {
 		s.statsReq.Store(true)
@@ -1091,9 +1016,4 @@ func (rt *RT) ShardStats() []Stats {
 }
 
 // Shards returns the number of shards the runtime executes on.
-func (rt *RT) Shards() int {
-	if rt.eng == nil {
-		return 1
-	}
-	return len(rt.eng.shards)
-}
+func (rt *RT) Shards() int { return len(rt.eng.shards) }

@@ -13,20 +13,16 @@ import (
 // interpose points the mutation-testing pass uses to seed semantic
 // bugs at the paper's delivery points.
 //
-// Two execution modes exist under Options.Sim:
-//
-//   - Serial (Shards <= 1): the ordinary interpreter loop runs, with
-//     each nondeterministic choice routed through the SimSource. A
-//     recording source returns -1 from every Pick ("runtime decides"),
-//     so a recorded run draws exactly the same seeded random numbers
-//     as an unrecorded one and is bit-for-bit identical to it.
-//   - Simulated parallel (Shards > 1): instead of spawning worker
-//     goroutines, runSimulated drives all shards from ONE goroutine,
-//     one bounded turn at a time. Shard state (run queues, mailboxes,
-//     ownership, the message protocol) is exactly the real engine's;
-//     only the interleaving is produced by the driver, which makes a
-//     seeded multi-shard chaos run fully deterministic and therefore
-//     recordable and replayable.
+// Under Options.Sim the engine is stepped by the cooperative turn
+// driver (runSimulated) instead of worker goroutines, at any shard
+// count: the driver picks a shard and runs one turn on it — the same
+// turn the live worker loop runs — so shard state (run queues,
+// mailboxes, ownership, the message protocol) is exactly the live
+// engine's and only the interleaving comes from the driver. A seeded
+// run is therefore fully deterministic, recordable and replayable. A
+// recording source returns -1 from every Pick ("runtime decides"), so
+// a recorded one-shard run draws exactly the same seeded random
+// numbers as an unrecorded one and makes the same decisions.
 //
 // The seam costs nothing when Options.Sim is nil: every hook is a
 // nil-check short-circuit (gated by the S2 recording-overhead table).
@@ -149,9 +145,8 @@ const (
 // default (-1, or 0 for IpPendingIndex) is always the correct
 // semantics.
 //
-// All methods are called from the scheduler goroutine only (the serial
-// interpreter or the simulation driver): implementations need no
-// locking.
+// All methods are called from the simulation driver's goroutine only:
+// implementations need no locking.
 type SimSource interface {
 	// PickShard chooses the next shard to run a turn; candidates is a
 	// bitmask of eligible shards. -1 = driver's seeded choice.
@@ -230,8 +225,7 @@ func (rt *RT) simObserve(ev SimEvent) {
 	}
 }
 
-// bindSimCaps caches the source's capability mask on this RT (shards
-// cache it too — see buildEngine).
+// bindSimCaps caches the source's capability mask on this shard.
 func (rt *RT) bindSimCaps() {
 	if s := rt.opts.Sim; s != nil {
 		caps := s.Capabilities()
@@ -272,161 +266,87 @@ func (rt *RT) simDequeuePending(t *Thread) pendingExc {
 	return t.dequeuePending()
 }
 
-// nextRunnableSim is the serial nextRunnable with the pick routed
-// through the source: under RandomSched the source may force the
-// fair-shuffle index (replay), and every pick actually taken is
-// observed (recording). A -1 answer draws the runtime's own seeded
-// rng, exactly as the unrecorded scheduler would.
-func (rt *RT) nextRunnableSim(src SimSource) *Thread {
-	for rt.runq.Len() > 0 {
-		if rt.opts.RandomSched {
-			qlen := rt.runq.Len()
-			idx := -1
-			if rt.simPick {
-				idx = src.PickRun(0, qlen)
-			}
-			if idx < 0 || idx >= qlen {
-				idx = rt.rng.Intn(qlen)
-			}
-			rt.runq.swap(0, idx)
-			src.Observe(SimEvent{Kind: SimPickRun, A: uint32(qlen), B: uint64(idx)})
-		}
-		t := rt.runq.popFront()
-		if t.status == statusRunnable {
-			return t
-		}
-	}
-	return nil
-}
-
-// drainExternalSim drains queued external events into the hold-back
-// buffer and applies them in source-chosen order (replay forces the
-// recorded arrival order; recording keeps FIFO and logs the labels).
-func (rt *RT) drainExternalSim(src SimSource) {
-	// Fast path: nothing queued and nothing held back. The serial loop
-	// calls this every iteration, so the empty case must be an atomic
-	// load, not a channel select (mirrors drainExternal).
-	if rt.extN.Load() == 0 && len(rt.simExt) == 0 {
-		return
-	}
-	for {
-		for {
-			select {
-			case ev := <-rt.events:
-				rt.extN.Add(-1)
-				rt.simExt = append(rt.simExt, ev)
-				continue
-			default:
-			}
-			break
-		}
-		if len(rt.simExt) == 0 {
-			return
-		}
-		idx := 0
-		if rt.simPick && len(rt.simExt) > 1 {
-			labels := make([]uint64, len(rt.simExt))
-			for i := range rt.simExt {
-				labels[i] = rt.simExt[i].label
-			}
-			if p := src.PickExternal(labels); p >= 0 && p < len(rt.simExt) {
-				idx = p
-			}
-		}
-		n := len(rt.simExt)
-		ev := rt.simExt[idx]
-		copy(rt.simExt[idx:], rt.simExt[idx+1:])
-		rt.simExt[len(rt.simExt)-1] = extEvent{}
-		rt.simExt = rt.simExt[:len(rt.simExt)-1]
-		src.Observe(SimEvent{Kind: SimExternal, Shard: uint8(rt.shardID), A: uint32(n), B: ev.label})
-		ev.f(rt)
-		if rt.eng != nil {
-			rt.eng.msgs.Add(-1)
-		}
-	}
-}
-
-// runSimulated is RunMain for Options.Shards > 1 with a SimSource: the
-// cooperative simulation driver. All shards are driven from this one
-// goroutine, a turn at a time — drain externals and mailbox, pop (or
-// steal) one thread, run one slice — with every choice routed through
-// the source. The shard data structures and the cross-shard message
-// protocol are exactly the live engine's; only the interleaving comes
-// from the driver, so a seeded run is fully deterministic.
-func (rt *RT) runSimulated(main Node) (Result, error) {
+// runSimulated is RunMain's loop under Options.Sim: the cooperative
+// turn driver. All shards are stepped from this one goroutine, one
+// turn at a time, with every choice routed through the source. The
+// shard data structures and the cross-shard message protocol are
+// exactly the live engine's; only the interleaving comes from the
+// driver, so a seeded run is fully deterministic.
+func (rt *RT) runSimulated() {
 	e := rt.eng
-	src := e.opts.Sim
-	if e.opts.Clock == RealClock {
-		return Result{}, errSimRealClock
-	}
-	if len(e.shards) > 32 {
-		return Result{}, errors.New("sched: simulation mode supports at most 32 shards")
-	}
-	e.realEpoch = time.Now()
-	rt.realEpoch = e.realEpoch
-	e.mainThread = rt.spawn(main, "main", Unmasked, 0)
-	rt.mainThread = e.mainThread
 	cands := make([]int, 0, len(e.shards))
 	for !e.stopped.Load() {
-		// A shard is a candidate for a turn when it has work of its own
-		// (queued threads, mailbox messages, shard-0 externals) or could
-		// steal (someone has queued threads and it has none) — the same
-		// conditions that keep a live worker out of idleShard.
-		anyQ := false
-		for _, s := range e.shards {
-			if s.qlen.Load() > 0 {
-				anyQ = true
-				break
+		if len(e.shards) == 1 {
+			if rt.turn() {
+				continue
 			}
-		}
-		var mask uint32
-		cands = cands[:0]
-		for i, s := range e.shards {
-			q := s.qlen.Load() > 0
-			ready := q || s.mailN.Load() > 0 ||
-				(i == 0 && (s.extN.Load() > 0 || len(s.simExt) > 0)) ||
-				(anyQ && !q)
-			if ready {
-				mask |= 1 << uint(i)
-				cands = append(cands, i)
-			}
-		}
-		if len(cands) == 0 {
-			if err := rt.simQuiesce(); err != nil {
-				for _, s := range e.shards {
-					s.publishStats()
-					s.obsFlush()
-				}
-				e.table.clear()
-				return Result{}, err
-			}
+		} else if pick := rt.simPickShard(cands); pick >= 0 {
+			e.shards[pick].turn()
 			continue
 		}
-		pick := cands[0]
-		if len(cands) > 1 {
-			pick = -1
-			if rt.simPick {
-				pick = src.PickShard(mask)
+		// No shard can move. Completions arrive from real goroutines
+		// (I/O manager, cluster links) as mailbox messages or external
+		// events, so a wait polls for one. The wait itself is not a
+		// scheduling decision and is not recorded — only the chosen
+		// application order is.
+		io := e.outstandingIO.Load()
+		if e.msgs.Load() == 0 {
+			acted, err := rt.quiesce(io)
+			if err != nil {
+				e.fail(err)
+				break
 			}
-			if pick < 0 || pick >= len(e.shards) || mask&(1<<uint(pick)) == 0 {
-				pick = cands[rt.simRng().Intn(len(cands))]
+			if acted {
+				continue
 			}
-			src.Observe(SimEvent{Kind: SimPickShard, Shard: uint8(pick), A: mask})
 		}
-		e.shards[pick].simTurn()
+		time.Sleep(20 * time.Microsecond)
 	}
-	var steps uint64
 	for _, s := range e.shards {
 		s.publishStats()
 		s.obsFlush()
-		steps += s.statsSnap.Steps
 	}
-	e.table.clear()
-	if e.runErr != nil {
-		return Result{}, e.runErr
+}
+
+// simPickShard chooses the shard for the next turn, or -1 when none is
+// a candidate. A shard is a candidate when it has work of its own (a
+// kept or queued thread, mailbox messages, externals) or could steal
+// (a sibling has queued threads and it has none) — the conditions
+// that keep a live worker out of idleShard. The choice is observed
+// when more than one shard was a candidate.
+func (rt *RT) simPickShard(cands []int) int {
+	e := rt.eng
+	anyQ := false
+	for _, s := range e.shards {
+		if s.qlen.Load() > 0 {
+			anyQ = true
+			break
+		}
 	}
-	src.Observe(SimEvent{Kind: SimEnd, B: steps})
-	return e.result, nil
+	var mask uint32
+	cands = cands[:0]
+	for i, s := range e.shards {
+		q := s.qlen.Load() > 0
+		if q || s.kept != nil || s.mailN.Load() > 0 || s.extN.Load() > 0 || len(s.simExt) > 0 || (anyQ && !q) {
+			mask |= 1 << uint(i)
+			cands = append(cands, i)
+		}
+	}
+	switch len(cands) {
+	case 0:
+		return -1
+	case 1:
+		return cands[0]
+	}
+	pick := -1
+	if rt.simPick {
+		pick = rt.opts.Sim.PickShard(mask)
+	}
+	if pick < 0 || pick >= len(e.shards) || mask&(1<<uint(pick)) == 0 {
+		pick = cands[rt.simRng().Intn(len(cands))]
+	}
+	rt.opts.Sim.Observe(SimEvent{Kind: SimPickShard, Shard: uint8(pick), A: mask})
+	return pick
 }
 
 // simRng is the driver's own decision stream: shard 0's rng would also
@@ -452,156 +372,4 @@ func (r *simXorshift) Intn(n int) int {
 	r.s ^= r.s >> 7
 	r.s ^= r.s << 17
 	return int(r.s % uint64(n))
-}
-
-// simTurn runs one bounded turn on this shard: apply pending externals
-// and mailbox messages, then run one time slice of local (or stolen)
-// work. Mirrors one workerLoop iteration.
-func (rt *RT) simTurn() {
-	src := rt.opts.Sim
-	if rt.shardID == 0 && (rt.extN.Load() > 0 || len(rt.simExt) > 0) {
-		rt.drainExternalSim(src)
-	}
-	if rt.mailN.Load() > 0 {
-		rt.processMailbox()
-	}
-	t := rt.popLocalSim(src)
-	if t == nil {
-		t = rt.stealSim(src)
-	}
-	if t == nil {
-		return
-	}
-	rt.runSliceShard(t)
-	rt.obsFlush()
-}
-
-// popLocalSim is popLocal with the random-scheduler pick routed through
-// the source (forced on replay, observed when recording).
-func (rt *RT) popLocalSim(src SimSource) *Thread {
-	if rt.qlen.Load() == 0 {
-		return nil
-	}
-	rt.smu.Lock()
-	for rt.runq.Len() > 0 {
-		if rt.opts.RandomSched {
-			qlen := rt.runq.Len()
-			idx := -1
-			if rt.simPick {
-				idx = src.PickRun(rt.shardID, qlen)
-			}
-			if idx < 0 || idx >= qlen {
-				idx = rt.rng.Intn(qlen)
-			}
-			rt.runq.swap(0, idx)
-			src.Observe(SimEvent{Kind: SimPickRun, Shard: uint8(rt.shardID), A: uint32(qlen), B: uint64(idx)})
-		}
-		t := rt.runq.popFront()
-		rt.qlen.Store(int32(rt.runq.Len()))
-		rt.eng.runnable.Add(-1)
-		if t.status == statusRunnable {
-			rt.smu.Unlock()
-			return t
-		}
-	}
-	rt.smu.Unlock()
-	return nil
-}
-
-// stealSim is steal for the simulation driver: the victim comes from
-// the source (or this shard's seeded rng), and the attempt — success
-// or pinned-tail failure — is observed.
-func (rt *RT) stealSim(src SimSource) *Thread {
-	e := rt.eng
-	var mask uint32
-	nc := 0
-	for i, s := range e.shards {
-		if s != rt && s.qlen.Load() > 0 {
-			mask |= 1 << uint(i)
-			nc++
-		}
-	}
-	if nc == 0 {
-		return nil
-	}
-	pick := -1
-	if rt.simPick {
-		pick = src.PickSteal(rt.shardID, mask)
-		if pick == -2 {
-			return nil
-		}
-	}
-	if pick < 0 || pick >= len(e.shards) || mask&(1<<uint(pick)) == 0 {
-		k := rt.rng.Intn(nc)
-		for i := range e.shards {
-			if mask&(1<<uint(i)) != 0 {
-				if k == 0 {
-					pick = i
-					break
-				}
-				k--
-			}
-		}
-	}
-	v := e.shards[pick]
-	v.smu.Lock()
-	t := v.runq.popBack()
-	if t != nil && t.pinned {
-		v.runq.pushBack(t)
-		t = nil
-	}
-	var tid uint64
-	if t != nil {
-		v.qlen.Store(int32(v.runq.Len()))
-		t.owner.Store(rt)
-		t.rt = rt
-		tid = uint64(t.id)
-	}
-	v.smu.Unlock()
-	src.Observe(SimEvent{Kind: SimSteal, Shard: uint8(rt.shardID), A: mask, B: uint64(pick+1)<<48 | tid})
-	if t == nil {
-		return nil
-	}
-	e.runnable.Add(-1)
-	rt.stats.Steals++
-	rt.trace(EvSteal{Thread: t.id, From: v.shardID, To: rt.shardID})
-	rt.obsSteal(t, v.shardID, rt.shardID)
-	return t
-}
-
-// simQuiesce handles the no-candidate state: advance the virtual clock
-// to the next timer, wait for an external completion, or declare
-// deadlock — the driver-side mirror of quiesceLocked.
-func (rt *RT) simQuiesce() error {
-	e := rt.eng
-	if e.outstandingIO.Load() == 0 {
-		if at, ok := e.earliestTimer(); ok {
-			from := e.now.Load()
-			e.now.Store(at)
-			rt.stats.TimeAdvances++
-			rt.trace(EvTimeAdvance{FromNS: from, ToNS: at})
-			rt.simObserve(SimEvent{Kind: SimAdvance, B: uint64(at)})
-			rt.fireAllTimers(at)
-			return nil
-		}
-	}
-	if e.outstandingIO.Load() > 0 || rt.console.waitingReaders() {
-		// Completions arrive from real goroutines (I/O manager, cluster
-		// links) as mailbox messages or external events; poll for one.
-		// The wait itself is not a scheduling decision and is not
-		// recorded — only the chosen application order is.
-		for !e.stopped.Load() {
-			for _, s := range e.shards {
-				if s.mailN.Load() > 0 || s.extN.Load() > 0 {
-					return nil
-				}
-			}
-			if e.outstandingIO.Load() == 0 && !rt.console.waitingReaders() {
-				return nil
-			}
-			time.Sleep(20 * time.Microsecond)
-		}
-		return nil
-	}
-	return rt.parallelDeadlock()
 }

@@ -117,37 +117,43 @@ func TestSyncThrowerInterruptedWithdrawsException(t *testing.T) {
 
 // --- thread dump ------------------------------------------------------------
 
+// TestThreadDump reads the engine's thread table, so it lists every
+// live thread at any shard count.
 func TestThreadDump(t *testing.T) {
-	rt := sched.NewRT(sched.DefaultOptions())
-	mvNode := sched.NewEmptyMVar()
-	main := sched.Bind(mvNode, func(raw any) sched.Node {
-		mv := raw.(*sched.MVar)
-		return seq(
-			sched.Bind(sched.ForkNamed(sched.Then(sched.TakeMVar(mv), sched.ReturnUnit()), "waiter"),
-				func(any) sched.Node { return sched.ReturnUnit() }),
-			sched.Sleep(time.Millisecond),
-			sched.Lift(func() any {
-				dump := rt.ThreadDump()
-				if len(dump) != 2 {
-					t.Errorf("dump has %d threads", len(dump))
+	for _, shards := range []int{1, 4} {
+		opts := sched.DefaultOptions()
+		opts.Shards = shards
+		rt := sched.NewRT(opts)
+		mvNode := sched.NewEmptyMVar()
+		main := sched.Bind(mvNode, func(raw any) sched.Node {
+			mv := raw.(*sched.MVar)
+			return seq(
+				sched.Bind(sched.ForkNamed(sched.Then(sched.TakeMVar(mv), sched.ReturnUnit()), "waiter"),
+					func(any) sched.Node { return sched.ReturnUnit() }),
+				sched.Sleep(time.Millisecond),
+				sched.Lift(func() any {
+					dump := rt.ThreadDump()
+					if len(dump) != 2 {
+						t.Errorf("shards %d: dump has %d threads", shards, len(dump))
+						return sched.UnitValue
+					}
+					if dump[0].Name != "main" || dump[0].Status != "runnable" {
+						t.Errorf("shards %d: main entry: %+v", shards, dump[0])
+					}
+					if dump[1].Name != "waiter" || dump[1].Status != "parked(takeMVar)" {
+						t.Errorf("shards %d: waiter entry: %+v", shards, dump[1])
+					}
 					return sched.UnitValue
-				}
-				if dump[0].Name != "main" || dump[0].Status != "runnable" {
-					t.Errorf("main entry: %+v", dump[0])
-				}
-				if dump[1].Name != "waiter" || dump[1].Status != "parked(takeMVar)" {
-					t.Errorf("waiter entry: %+v", dump[1])
-				}
-				return sched.UnitValue
-			}),
-			sched.PutMVar(mv, 1),
-		)
-	})
-	if _, err := rt.RunMain(main); err != nil {
-		t.Fatal(err)
-	}
-	if s := rt.DumpString(); s != "" {
-		// After the run all threads are gone.
-		t.Fatalf("dump after run: %q", s)
+				}),
+				sched.PutMVar(mv, 1),
+			)
+		})
+		if _, err := rt.RunMain(main); err != nil {
+			t.Fatal(err)
+		}
+		if s := rt.DumpString(); s != "" {
+			// After the run all threads are gone.
+			t.Fatalf("shards %d: dump after run: %q", shards, s)
+		}
 	}
 }

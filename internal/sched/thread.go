@@ -101,8 +101,7 @@ type pendingExc struct {
 	e      exc.Exception
 	waiter *Thread
 	// waiterSeq is waiter's parkSeq at the time it parked; the wake is
-	// dropped when the waiter has since been interrupted and re-parked
-	// (parallel mode; always matches in serial mode).
+	// dropped when the waiter has since been interrupted and re-parked.
 	waiterSeq uint64
 	// span and enqNS carry the obs tracing span id and enqueue
 	// timestamp from the throwTo site to the delivery event; both zero
@@ -118,11 +117,6 @@ type parkInfo struct {
 	mv *MVar
 	// putVal is the value a parked putter is waiting to deposit.
 	putVal any
-	// timerSeq identifies the timer entry of a sleeping thread (the
-	// heap uses lazy deletion).
-	timerSeq uint64
-	// awaitID matches external completions to this park episode.
-	awaitID uint64
 	// timerLive marks a sleeping thread's heap entry as live; cleared
 	// on detach so the lazily-deleted entry is skipped when it
 	// surfaces.
@@ -164,16 +158,17 @@ type Thread struct {
 	status threadStatus
 	park   parkInfo
 
-	// parkSeq counts park episodes; droppable cross-shard wakeups carry
-	// the seq they expect so a stale wake (the thread was interrupted
-	// and has moved on) is discarded. Maintained in serial mode too,
-	// where it is only ever observed to match.
+	// parkSeq counts park episodes. Every resume carries the episode it
+	// was decided for, so a stale one (the thread was interrupted and
+	// has moved on) is discarded; see RT.resume. Written only while
+	// the thread is owned and running, under the wait queue's lock
+	// when it parks on one.
 	parkSeq uint64
 
-	// owner is the shard currently owning this thread (parallel mode
-	// only; nil in serial mode). It changes only under the previous
-	// owner's shard lock, when a thief steals the thread from that
-	// shard's run queue.
+	// owner is the shard currently owning this thread. It changes only
+	// under the previous owner's shard lock, when a thief steals the
+	// thread from that shard's run queue, or under global quiescence
+	// (timer firing, deadlock detection).
 	owner atomic.Pointer[RT]
 
 	// pinned marks a ForkOn thread: work stealing skips it, so it stays
@@ -286,6 +281,17 @@ func (t *Thread) dequeuePendingAt(i int) pendingExc {
 	t.pending[len(t.pending)-1] = pendingExc{}
 	t.pending = t.pending[:len(t.pending)-1]
 	return p
+}
+
+// withdraw removes the pending exception whose §9 synchronous waiter
+// is w, if it is still queued; the caller holds t's owner's shard lock.
+func (t *Thread) withdraw(w *Thread) {
+	for i := range t.pending {
+		if t.pending[i].waiter == w {
+			t.dequeuePendingAt(i)
+			return
+		}
+	}
 }
 
 // raisePendingForPark implements the interruptible-operations rule of
